@@ -278,6 +278,16 @@ func BenchmarkTranslateRF8W32Secure(b *testing.B) {
 	})
 }
 
+// BenchmarkTranslateRI4W32 re-keys on the Figure 7 ext-RI schedule (every
+// 4096 fills); every lookup pays one keyed-index encryption.
+func BenchmarkTranslateRI4W32(b *testing.B) {
+	benchTranslate(b, func() (tlb.TLB, error) { return tlb.NewRandIdx(32, 4, identityWalker(), 1, 4096) })
+}
+
+func BenchmarkTranslateFS4W32(b *testing.B) {
+	benchTranslate(b, func() (tlb.TLB, error) { return tlb.NewFlushOnSwitch(32, 4, identityWalker()) })
+}
+
 // --- Ablations (DESIGN.md §5) --------------------------------------------------------
 
 // BenchmarkAblationSPPartitionSweep sweeps the victim partition size and

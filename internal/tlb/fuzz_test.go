@@ -5,6 +5,8 @@ import "testing"
 // FuzzRandIdxCipher pins the properties the RI TLB's keyed indexing rests
 // on, for arbitrary blocks and keys:
 //
+//   - the table-driven cipher is bit-identical to the bit-loop reference
+//     of prince_test.go in both directions;
 //   - the cipher is a permutation for every key: princeDecrypt inverts
 //     princeEncrypt exactly (both compositions are the identity), and two
 //     distinct blocks never encrypt to the same output under one key;
@@ -29,6 +31,12 @@ func FuzzRandIdxCipher(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, x, key, key2, delta uint64) {
 		ct := princeEncrypt(x, key)
+		if want := refEncrypt(x, key); ct != want {
+			t.Fatalf("encrypt(%#x, %#x) = %#x, reference %#x", x, key, ct, want)
+		}
+		if got, want := princeDecrypt(x, key), refDecrypt(x, key); got != want {
+			t.Fatalf("decrypt(%#x, %#x) = %#x, reference %#x", x, key, got, want)
+		}
 		if got := princeDecrypt(ct, key); got != x {
 			t.Fatalf("decrypt(encrypt(%#x, %#x)) = %#x, not the identity", x, key, got)
 		}

@@ -41,17 +41,8 @@ func (s opStream) apply(t *testing.T, tl TLB) {
 
 // entriesOf extracts the valid entries of each design for invariant checks.
 func entriesOf(tl TLB) []entry {
-	var sets [][]entry
-	switch v := tl.(type) {
-	case *SetAssoc:
-		sets = v.sets
-	case *SP:
-		sets = v.sets
-	case *RF:
-		sets = v.sets
-	}
 	var out []entry
-	for _, set := range sets {
+	for _, set := range setsOf(tl) {
 		for _, e := range set {
 			if e.valid {
 				out = append(out, e)
@@ -70,11 +61,17 @@ func setsOf(tl TLB) [][]entry {
 		return v.sets
 	case *RF:
 		return v.sets
+	case *RandIdx:
+		return v.sets
+	case *FlushOnSwitch:
+		return v.sets
 	}
 	return nil
 }
 
-func checkInvariants(t *testing.T, tl TLB, geom geometry) bool {
+// checkInvariants checks the invariants every design shares; setOf is the
+// design's own (asid, vpn)-to-set mapping.
+func checkInvariants(t *testing.T, tl TLB, setOf func(ASID, VPN) int) bool {
 	t.Helper()
 	// Invariant 1: no duplicate (asid, vpn) translations.
 	seen := map[[2]uint64]bool{}
@@ -86,12 +83,13 @@ func checkInvariants(t *testing.T, tl TLB, geom geometry) bool {
 		}
 		seen[k] = true
 	}
-	// Invariant 2: every valid entry resides in the set its VPN indexes.
+	// Invariant 2: every valid entry resides in the set the design maps
+	// its (asid, vpn) to.
 	for s, set := range setsOf(tl) {
 		for _, e := range set {
-			if e.valid && geom.setIndex(e.vpn) != s {
+			if e.valid && setOf(e.asid, e.vpn) != s {
 				t.Logf("entry (%d,%#x) stored in set %d, indexes set %d",
-					e.asid, e.vpn, s, geom.setIndex(e.vpn))
+					e.asid, e.vpn, s, setOf(e.asid, e.vpn))
 				return false
 			}
 		}
@@ -105,11 +103,17 @@ func checkInvariants(t *testing.T, tl TLB, geom geometry) bool {
 	return true
 }
 
+// vpnSet is the conventional mapping: the set is a function of the VPN's
+// low bits alone.
+func vpnSet(g geometry) func(ASID, VPN) int {
+	return func(_ ASID, vpn VPN) int { return g.setIndex(vpn) }
+}
+
 func TestQuickSetAssocInvariants(t *testing.T) {
 	f := func(s opStream) bool {
 		sa := mustSA(t, 32, 4)
 		s.apply(t, sa)
-		return checkInvariants(t, sa, sa.geom)
+		return checkInvariants(t, sa, vpnSet(sa.geom))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
@@ -120,7 +124,7 @@ func TestQuickSPInvariants(t *testing.T) {
 	f := func(s opStream) bool {
 		sp := mustSP(t, 32, 4, 2)
 		s.apply(t, sp)
-		if !checkInvariants(t, sp, sp.geom) {
+		if !checkInvariants(t, sp, vpnSet(sp.geom)) {
 			return false
 		}
 		// SP-specific invariant: victim entries only in victim ways,
@@ -154,7 +158,7 @@ func TestQuickRFInvariants(t *testing.T) {
 		rf.SetVictim(victimID)
 		rf.SetSecureRegion(0x40, 5)
 		s.apply(t, rf)
-		if !checkInvariants(t, rf, rf.geom) {
+		if !checkInvariants(t, rf, vpnSet(rf.geom)) {
 			return false
 		}
 		// RF-specific invariant: every Sec-marked entry lies inside the
@@ -206,6 +210,45 @@ func TestQuickRFSecureNeverDirectlyFilled(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
+		t.Error(err)
+	}
+}
+
+func TestQuickRandIdxInvariants(t *testing.T) {
+	// A re-key every 8 fills makes most streams cross several keys; every
+	// valid entry must sit where the current key indexes it, since a
+	// re-key flushes everything placed under the old one.
+	seed, rekeyed := uint64(0), false
+	f := func(s opStream) bool {
+		seed++
+		ri, err := NewRandIdx(32, 4, identityWalker(60), seed, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.apply(t, ri)
+		rekeyed = rekeyed || ri.epoch > 0
+		return checkInvariants(t, ri, ri.KeyedSetIndex)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Error(err)
+	}
+	if !rekeyed {
+		t.Error("no stream crossed a re-key")
+	}
+}
+
+func TestQuickFlushOnSwitchInvariants(t *testing.T) {
+	f := func(s opStream) bool {
+		fs, err := NewFlushOnSwitch(32, 4, identityWalker(60))
+		if err != nil {
+			t.Fatal(err)
+		}
+		fs.SetVictim(victimID)
+		fs.SetSecureRegion(0x40, 5)
+		s.apply(t, fs)
+		return checkInvariants(t, fs, vpnSet(fs.geom))
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
 	}
 }
