@@ -38,14 +38,18 @@ race:
 	$(GO) test -race -timeout 10m ./...
 
 # Serial-vs-parallel campaign engine comparison plus the Clone micro-costs,
-# then the trace-replay A/B pairs aggregated into BENCH_campaign.json (the
-# checked-in record of the capture-once/replay-everywhere speedup; medians
-# across -count runs, so one noisy run cannot skew it).
+# then the trace-replay A/B pairs, the bootstrap interval (kernel and its
+# scalar reference) and the per-unit checkpoint Record aggregated into
+# BENCH_campaign.json (the checked-in record of the capture-once/
+# replay-everywhere speedup; medians across -count runs, so one noisy run
+# cannot skew it).
 bench:
 	$(GO) test -run xxx -bench 'RunVulnerability|RunAll(Serial|Parallel)' -benchtime 2x .
 	$(GO) test -run xxx -bench Clone ./internal/mem/ ./internal/cpu/
-	$(GO) test -run xxx -bench 'Table4SecurityEval(RF|RI|FS)|Campaign(TraceReplay|FullExec)|Figure7(TraceReplay|FullExec)|Translate' \
-		-benchmem -benchtime 20x -count 5 . | $(GO) run ./cmd/benchjson -out BENCH_campaign.json
+	{ $(GO) test -run xxx -bench 'Table4SecurityEval(RF|RI|FS)|Campaign(TraceReplay|FullExec)|Figure7(TraceReplay|FullExec)|Translate' \
+		-benchmem -benchtime 20x -count 5 . && \
+	  $(GO) test -run xxx -bench 'BootstrapCI(Reference)?$$|Record$$' -benchmem -count 5 ./internal/capacity/ ./internal/checkpoint/; } \
+		| $(GO) run ./cmd/benchjson -out BENCH_campaign.json
 
 # One-iteration pass over every benchmark: proves each still assembles its
 # experiment and meets its internal checks (defended counts, row counts)
@@ -73,13 +77,16 @@ faults:
 assert-smoke:
 	$(GO) run ./cmd/faultbench -trials 1 -vulns 1 -require-detect=false
 
-# Short native-fuzzing pass over the assembler, the binary program decoder
-# and the RI TLB's index cipher (the checked-in corpora under testdata/fuzz
-# run in plain `go test`; this explores beyond them).
+# Short native-fuzzing pass over the assembler, the binary program decoder,
+# the RI TLB's index cipher, the checkpoint log reader and the bootstrap
+# kernel against its scalar reference (the checked-in corpora under
+# testdata/fuzz run in plain `go test`; this explores beyond them).
 fuzz-smoke:
 	$(GO) test -fuzz FuzzAssemble -fuzztime $(FUZZTIME) ./internal/asm/
 	$(GO) test -fuzz FuzzDecode -fuzztime $(FUZZTIME) ./internal/isa/
 	$(GO) test -fuzz FuzzRandIdxCipher -fuzztime $(FUZZTIME) ./internal/tlb/
+	$(GO) test -fuzz FuzzCheckpointOpen -fuzztime $(FUZZTIME) ./internal/checkpoint/
+	$(GO) test -fuzz FuzzBootstrapCI -fuzztime $(FUZZTIME) ./internal/capacity/
 
 # End-to-end daemon smoke: start tlbserved, submit a job over HTTP, SIGTERM
 # it mid-run, restart over the same data directory and require the resumed

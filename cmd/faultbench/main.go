@@ -7,7 +7,8 @@
 // assertion that fired), benign (fault landed, outcome bit-identical to the
 // clean run) or latent (trigger never reached). The two at-rest checkpoint
 // sites are exercised by corrupting a freshly written checkpoint file and
-// requiring the resume to fail loudly.
+// requiring the resume to fail loudly, recover the unit intact, or drop it
+// as a cut tail and recompute it — and to fail loudly at least once.
 //
 // Usage:
 //

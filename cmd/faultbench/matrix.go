@@ -155,8 +155,10 @@ func runMachineSites(mc matrixConfig, machine []faultinject.Site, vulns []model.
 }
 
 // runRestSites verifies the at-rest checkpoint sites by corrupting freshly
-// written checkpoint files and requiring loud refusal on resume. Each site
-// contributes one synthetic row.
+// written checkpoint files and requiring, on resume, a loud refusal, an
+// intact unit, or a unit lost to a cut tail and recomputed. Each site
+// contributes one synthetic row: refusals and recomputations as detection
+// kinds, intact resumes as benign.
 func runRestSites(mc matrixConfig, rest []faultinject.Site, res *matrixResult) error {
 	seeds := mc.RestSeeds
 	if seeds == 0 {
@@ -169,32 +171,31 @@ func runRestSites(mc matrixConfig, rest []faultinject.Site, res *matrixResult) e
 		}
 		cfg := secbench.DefaultConfig(secbench.DesignSA)
 		cfg.Trials = mc.Trials
-		loud, benign := 0, 0
+		tally := map[secbench.RestOutcome]int{}
 		detail := ""
 		for i := uint64(0); i < seeds; i++ {
-			detected, d, err := cfg.VerifyCheckpointFault(dir, s, mc.Seed+i)
+			outcome, d, err := cfg.VerifyCheckpointFault(dir, s, mc.Seed+i)
 			if err != nil {
 				os.RemoveAll(dir)
 				return err
 			}
-			if detected {
-				loud++
-			} else {
-				benign++
-			}
+			tally[outcome]++
 			if detail == "" {
 				detail = d
 			}
 		}
 		os.RemoveAll(dir)
-		res.DetectedBySite[s] += loud
+		res.DetectedBySite[s] += tally[secbench.RestRefused]
 		res.Rows = append(res.Rows, matrixRow{cell: secbench.FaultCell{
-			Site:     s,
-			Design:   "checkpoint",
-			Trials:   int(seeds),
-			Detected: map[string]int{"corrupt-refused": loud},
-			Benign:   benign,
-			Detail:   detail,
+			Site:   s,
+			Design: "checkpoint",
+			Trials: int(seeds),
+			Detected: map[string]int{
+				"corrupt-refused": tally[secbench.RestRefused],
+				"tail-recomputed": tally[secbench.RestRecomputed],
+			},
+			Benign: tally[secbench.RestIntact],
+			Detail: detail,
 		}})
 	}
 	return nil

@@ -2,7 +2,6 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -10,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"securetlb/internal/checkpoint"
 	"securetlb/internal/report"
 	"securetlb/internal/secbench"
 )
@@ -77,17 +77,16 @@ func TestInterruptResumeBitIdentical(t *testing.T) {
 	if code := ee.ExitCode(); code != 130 {
 		t.Fatalf("interrupted run exit code = %d, want 130", code)
 	}
-	raw, err := os.ReadFile(ckPath)
+	// Read the interrupted run's checkpoint the way -resume will, with the
+	// campaign the flags above select (-fault-seed at its default).
+	cfg := secbench.DefaultConfig(secbench.DesignRF)
+	cfg.Trials = 20000
+	cfg.FaultSeed = 0xfa115eed
+	ck, err := checkpoint.Open(ckPath, cfg.Fingerprint(false), 1, true)
 	if err != nil {
-		t.Fatalf("checkpoint missing after interrupt: %v", err)
+		t.Fatalf("checkpoint not resumable after interrupt: %v", err)
 	}
-	var ck struct {
-		Units map[string]json.RawMessage `json:"units"`
-	}
-	if err := json.Unmarshal(raw, &ck); err != nil {
-		t.Fatalf("checkpoint not parseable: %v", err)
-	}
-	if n := len(ck.Units); n == 0 || n >= 48 {
+	if n := ck.Len(); n == 0 || n >= 48 {
 		t.Logf("interrupt landed with %d/48 units complete; timing did not split the campaign", n)
 	} else {
 		t.Logf("interrupt landed with %d/48 units complete", n)

@@ -15,6 +15,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 
@@ -290,25 +291,35 @@ func (c Counts) BootstrapCICtx(ctx context.Context, resamples int, conf float64,
 		v := c.Capacity()
 		return v, v, nil
 	}
+	if c.degenerate() {
+		// p1, p2 ∈ {0, 1}: every draw of a replicate is decided before it is
+		// made (p = 0 never hits, p = 1 always does), so every replicate
+		// reproduces the counts themselves.
+		v := c.Capacity()
+		return v, v, nil
+	}
 	key := bootstrapKey{c, resamples, conf, seed}
 	if v, ok := bootstrapCache.Load(key); ok {
 		cv := v.(bootstrapVal)
 		return cv.lo, cv.hi, nil
 	}
 	p1, p2 := c.Probabilities()
-	caps := make([]float64, resamples)
+	t1, t2 := hitThreshold(p1), hitThreshold(p2)
+	groups := (resamples + lanes - 1) / lanes
+	// The last group runs at full width; its surplus lanes are cut off.
+	caps := make([]float64, groups*lanes)
 	fill := func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			caps[i] = c.resample(seed, i, p1, p2)
+		for g := lo; g < hi; g++ {
+			c.replicates(seed, g*lanes, t1, t2, (*[lanes]float64)(caps[g*lanes:]))
 		}
 	}
-	// Each resample draws from a PRNG state derived from (seed, index)
-	// alone, so the result is identical however the index range is split;
+	// Each replicate draws from a PRNG state derived from (seed, index)
+	// alone, so the result is identical however the groups are split;
 	// batch across goroutines only when the binomial draws amount to real
 	// work (resamples × trials), since a campaign's 300×1000 draws matter
 	// but a unit test's 50×20 would be all scheduling overhead.
 	if work := resamples * (c.Mapped + c.NotMapped); work >= 1<<16 {
-		shards := pool.Shards(resamples, pool.Workers(0))
+		shards := pool.Shards(groups, pool.Workers(0))
 		err := pool.New(len(shards)).ForEachCtx(ctx, len(shards), func(s int) {
 			fill(shards[s].Lo, shards[s].Hi)
 		})
@@ -316,8 +327,9 @@ func (c Counts) BootstrapCICtx(ctx context.Context, resamples int, conf float64,
 			return 0, 0, err
 		}
 	} else {
-		fill(0, resamples)
+		fill(0, groups)
 	}
+	caps = caps[:resamples]
 	sortFloats(caps)
 	alpha := (1 - conf) / 2
 	loIdx := int(alpha * float64(resamples))
@@ -334,11 +346,11 @@ func (c Counts) BootstrapCICtx(ctx context.Context, resamples int, conf float64,
 }
 
 // bootstrapKey identifies one bootstrap computation. The interval is a pure
-// function of these fields (resample seeds each replicate from (seed, index)
-// alone), so it can be memoized process-wide: campaign re-runs, A/B
-// comparisons and checkpoint resumes re-finalize identical counts, and the
-// 300-resample bootstrap is a dominant fixed cost once trials replay from
-// captured traces.
+// function of these fields (replicateState seeds each replicate from
+// (seed, index) alone), so it can be memoized process-wide: campaign
+// re-runs, A/B comparisons and checkpoint resumes re-finalize identical
+// counts, and the 300-resample bootstrap is a dominant fixed cost once
+// trials replay from captured traces.
 type bootstrapKey struct {
 	counts    Counts
 	resamples int
@@ -357,11 +369,41 @@ var (
 
 const bootstrapCacheCap = 1 << 12
 
-// resample draws one bootstrap replicate of the capacity. Its xorshift64*
-// state is seeded independently per index with a splitmix64 finaliser, so
-// replicates are order-independent: the serial and batched evaluations of
-// BootstrapCI produce bit-identical intervals.
-func (c Counts) resample(seed uint64, i int, p1, p2 float64) float64 {
+// degenerate reports whether both miss counts sit at 0 or at their trial
+// count, so that both binomial probabilities are 0 or 1.
+func (c Counts) degenerate() bool {
+	return (c.MappedMisses == 0 || c.MappedMisses == c.Mapped) &&
+		(c.NotMappedMisses == 0 || c.NotMappedMisses == c.NotMapped)
+}
+
+// lanes is how many replicates the bootstrap kernel draws side by side.
+const lanes = 4
+
+// threshold is a binomial probability p recast for the xorshift draws. A
+// draw with state s hits — the reference test float64(s>>11)/2^53 < p — in
+// exactly two ways: always, when p ≥ 1, or when s < thr. For 0 < p < 1 the
+// bound is exact: s>>11 = m is an integer below 2^53, m/2^53 < p holds iff
+// m < ceil(p·2^53) (every step exact in float64), and m < P iff
+// s < P<<11, which fits in 64 bits because P < 2^53.
+type threshold struct {
+	thr    uint64
+	always bool
+}
+
+func hitThreshold(p float64) threshold {
+	switch {
+	case p >= 1:
+		return threshold{always: true}
+	case p <= 0:
+		return threshold{}
+	}
+	return threshold{thr: uint64(math.Ceil(p*(1<<53))) << 11}
+}
+
+// replicateState seeds replicate i's xorshift64* state with a splitmix64
+// finaliser of (seed, i), so replicates are order-independent: the serial
+// and batched evaluations produce bit-identical intervals.
+func replicateState(seed uint64, i int) uint64 {
 	state := seed + (uint64(i)+1)*0x9e3779b97f4a7c15
 	state = (state ^ (state >> 30)) * 0xbf58476d1ce4e5b9
 	state = (state ^ (state >> 27)) * 0x94d049bb133111eb
@@ -369,26 +411,68 @@ func (c Counts) resample(seed uint64, i int, p1, p2 float64) float64 {
 	if state == 0 {
 		state = 0x2545f4914f6cdd1d
 	}
-	next := func() float64 {
-		state ^= state << 13
-		state ^= state >> 7
-		state ^= state << 17
-		return float64(state>>11) / float64(1<<53)
+	return state
+}
+
+// replicates computes the capacities of bootstrap replicates i..i+lanes-1
+// into out: per replicate, Mapped draws against p1 then NotMapped draws
+// against p2 from its own xorshift chain, the chains run interleaved.
+func (c Counts) replicates(seed uint64, i int, t1, t2 threshold, out *[lanes]float64) {
+	var s [lanes]uint64
+	for l := range s {
+		s[l] = replicateState(seed, i+l)
 	}
-	binom := func(n int, p float64) int {
-		k := 0
-		for j := 0; j < n; j++ {
-			if next() < p {
-				k++
-			}
+	mapped := countHits(&s, c.Mapped, t1)
+	var notMapped [lanes]int
+	if t2.always {
+		notMapped = [lanes]int{c.NotMapped, c.NotMapped, c.NotMapped, c.NotMapped}
+	} else if t2.thr != 0 {
+		// The chains end here, so a draw-free p2 needs no stepping.
+		notMapped = countHits(&s, c.NotMapped, t2)
+	}
+	for l := range out {
+		r := Counts{
+			Mapped: c.Mapped, MappedMisses: mapped[l],
+			NotMapped: c.NotMapped, NotMappedMisses: notMapped[l],
 		}
-		return k
+		out[l] = r.Capacity()
 	}
-	r := Counts{
-		Mapped: c.Mapped, MappedMisses: binom(c.Mapped, p1),
-		NotMapped: c.NotMapped, NotMappedMisses: binom(c.NotMapped, p2),
+}
+
+// countHits advances each lane's xorshift state n steps and counts, per
+// lane, the draws that hit t. The comparison is the borrow of s - thr,
+// with no branch per draw.
+func countHits(s *[lanes]uint64, n int, t threshold) [lanes]int {
+	s0, s1, s2, s3 := s[0], s[1], s[2], s[3]
+	thr := t.thr
+	var k0, k1, k2, k3 uint64
+	for j := 0; j < n; j++ {
+		s0 ^= s0 << 13
+		s1 ^= s1 << 13
+		s2 ^= s2 << 13
+		s3 ^= s3 << 13
+		s0 ^= s0 >> 7
+		s1 ^= s1 >> 7
+		s2 ^= s2 >> 7
+		s3 ^= s3 >> 7
+		s0 ^= s0 << 17
+		s1 ^= s1 << 17
+		s2 ^= s2 << 17
+		s3 ^= s3 << 17
+		_, b0 := bits.Sub64(s0, thr, 0)
+		_, b1 := bits.Sub64(s1, thr, 0)
+		_, b2 := bits.Sub64(s2, thr, 0)
+		_, b3 := bits.Sub64(s3, thr, 0)
+		k0 += b0
+		k1 += b1
+		k2 += b2
+		k3 += b3
 	}
-	return r.Capacity()
+	s[0], s[1], s[2], s[3] = s0, s1, s2, s3
+	if t.always {
+		return [lanes]int{n, n, n, n}
+	}
+	return [lanes]int{int(k0), int(k1), int(k2), int(k3)}
 }
 
 func sortFloats(v []float64) {

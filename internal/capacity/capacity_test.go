@@ -280,3 +280,174 @@ func TestBootstrapCICtx(t *testing.T) {
 		t.Errorf("cancelled: err = %v, want context.Canceled", err)
 	}
 }
+
+// referenceResample is the scalar bootstrap replicate the kernel must
+// reproduce bit for bit: a splitmix64-seeded xorshift64 chain per replicate,
+// Mapped draws against p1 then NotMapped draws against p2, each draw a
+// float64 in [0, 1) compared with the probability.
+func referenceResample(c Counts, seed uint64, i int, p1, p2 float64) float64 {
+	state := seed + (uint64(i)+1)*0x9e3779b97f4a7c15
+	state = (state ^ (state >> 30)) * 0xbf58476d1ce4e5b9
+	state = (state ^ (state >> 27)) * 0x94d049bb133111eb
+	state ^= state >> 31
+	if state == 0 {
+		state = 0x2545f4914f6cdd1d
+	}
+	next := func() float64 {
+		state ^= state << 13
+		state ^= state >> 7
+		state ^= state << 17
+		return float64(state>>11) / float64(1<<53)
+	}
+	binom := func(n int, p float64) int {
+		k := 0
+		for j := 0; j < n; j++ {
+			if next() < p {
+				k++
+			}
+		}
+		return k
+	}
+	r := Counts{
+		Mapped: c.Mapped, MappedMisses: binom(c.Mapped, p1),
+		NotMapped: c.NotMapped, NotMappedMisses: binom(c.NotMapped, p2),
+	}
+	return r.Capacity()
+}
+
+// referenceBootstrapCI is the percentile interval over referenceResample,
+// serial and uncached.
+func referenceBootstrapCI(c Counts, resamples int, conf float64, seed uint64) (lo, hi float64) {
+	if resamples <= 0 || c.Mapped == 0 || c.NotMapped == 0 {
+		v := c.Capacity()
+		return v, v
+	}
+	p1, p2 := c.Probabilities()
+	caps := make([]float64, resamples)
+	for i := range caps {
+		caps[i] = referenceResample(c, seed, i, p1, p2)
+	}
+	sortFloats(caps)
+	alpha := (1 - conf) / 2
+	loIdx := int(alpha * float64(resamples))
+	hiIdx := int((1 - alpha) * float64(resamples))
+	if hiIdx >= resamples {
+		hiIdx = resamples - 1
+	}
+	return caps[loIdx], caps[hiIdx]
+}
+
+// checkAgainstReference compares BootstrapCICtx with the reference bit for
+// bit (float equality on both endpoints).
+func checkAgainstReference(t *testing.T, c Counts, resamples int, conf float64, seed uint64) {
+	t.Helper()
+	wantLo, wantHi := referenceBootstrapCI(c, resamples, conf, seed)
+	lo, hi, err := c.BootstrapCICtx(context.Background(), resamples, conf, seed)
+	if err != nil || math.Float64bits(lo) != math.Float64bits(wantLo) || math.Float64bits(hi) != math.Float64bits(wantHi) {
+		t.Fatalf("%+v resamples=%d conf=%v seed=%#x: got (%v, %v, %v), reference (%v, %v)",
+			c, resamples, conf, seed, lo, hi, err, wantLo, wantHi)
+	}
+}
+
+// TestBootstrapKernelMatchesReference runs random (counts, seed, resamples)
+// cases against the scalar reference, weighted towards the edges: p ∈ {0, 1}
+// on one side or both, fewer trials than lanes, and resample counts that
+// are not multiples of the lane width.
+func TestBootstrapKernelMatchesReference(t *testing.T) {
+	rng := uint64(0x5eed)
+	next := func(n int) int {
+		rng ^= rng << 13
+		rng ^= rng >> 7
+		rng ^= rng << 17
+		return int(rng % uint64(n))
+	}
+	side := func() (n, k int) {
+		switch next(6) {
+		case 0:
+			n = next(4) // fewer trials than lanes, including none
+		default:
+			n = 1 + next(120)
+		}
+		switch next(4) {
+		case 0:
+			return n, 0
+		case 1:
+			return n, n
+		}
+		return n, next(n + 1)
+	}
+	cases := 10000
+	if testing.Short() {
+		cases = 2000
+	}
+	for i := 0; i < cases; i++ {
+		var c Counts
+		c.Mapped, c.MappedMisses = side()
+		c.NotMapped, c.NotMappedMisses = side()
+		resamples := next(67) // 0..66: every residue mod 4
+		conf := []float64{0.95, 0.9, 0.5, 0.99}[next(4)]
+		checkAgainstReference(t, c, resamples, conf, rng)
+	}
+	// Campaign sizes, where the groups are sharded across the pool.
+	for i := 0; i < 12; i++ {
+		c := Counts{Mapped: 1000 + next(2000), NotMapped: 1000 + next(2000)}
+		c.MappedMisses, c.NotMappedMisses = next(c.Mapped+1), next(c.NotMapped+1)
+		if i%4 == 0 {
+			c.NotMappedMisses = c.NotMapped // p2 = 1 beside a random p1
+		}
+		checkAgainstReference(t, c, 297+next(8), 0.95, rng)
+	}
+}
+
+func TestHitThresholdExact(t *testing.T) {
+	// At the boundary of each probability the threshold test and the
+	// float test must agree, including the states just either side.
+	for _, p := range []float64{1.0 / 3, 0.5, 167.0 / 500, 1e-9, 1 - 1e-16, 2999.0 / 3000} {
+		thr := hitThreshold(p).thr
+		for _, s := range []uint64{thr - 1, thr, thr + 1, thr - 2048, thr + 2047, thr &^ 2047} {
+			want := float64(s>>11)/float64(1<<53) < p
+			if got := s < thr; got != want {
+				t.Errorf("p=%v s=%#x: threshold says %v, float test %v", p, s, got, want)
+			}
+		}
+	}
+	if !hitThreshold(1).always || hitThreshold(0).thr != 0 || hitThreshold(0).always {
+		t.Error("p = 0 and p = 1 must be never and always")
+	}
+}
+
+func FuzzBootstrapCI(f *testing.F) {
+	f.Add(uint16(500), uint16(167), uint16(500), uint16(158), uint16(300), uint8(95), uint64(2))
+	f.Add(uint16(3), uint16(3), uint16(2), uint16(0), uint16(7), uint8(90), uint64(0))
+	f.Add(uint16(40), uint16(0), uint16(40), uint16(17), uint16(33), uint8(50), uint64(1<<63))
+	f.Fuzz(func(t *testing.T, m, mm, nm, nmm, resamples uint16, conf uint8, seed uint64) {
+		c := Counts{Mapped: int(m % 700), NotMapped: int(nm % 700)}
+		c.MappedMisses = int(mm) % (c.Mapped + 1)
+		c.NotMappedMisses = int(nmm) % (c.NotMapped + 1)
+		checkAgainstReference(t, c, int(resamples%200), 0.5+float64(conf%50)/100, seed)
+	})
+}
+
+// benchSeed hands every benchmark call a seed never used before in the
+// process, so the bootstrap memo never hits.
+var benchSeed uint64 = 1 << 40
+
+// BenchmarkBootstrapCI is one Table 4 style interval: 300 replicates at
+// 3000+3000 trials, never memoised.
+func BenchmarkBootstrapCI(b *testing.B) {
+	c := Counts{Mapped: 3000, MappedMisses: 1003, NotMapped: 3000, NotMappedMisses: 958}
+	for i := 0; i < b.N; i++ {
+		benchSeed++
+		c.BootstrapCI(300, 0.95, benchSeed)
+	}
+}
+
+// BenchmarkBootstrapCIReference is the same interval through the scalar
+// reference, serial: the per-draw cost the kernel removes.
+func BenchmarkBootstrapCIReference(b *testing.B) {
+	c := Counts{Mapped: 3000, MappedMisses: 1003, NotMapped: 3000, NotMappedMisses: 958}
+	for i := 0; i < b.N; i++ {
+		benchSeed++
+		referenceBootstrapCI(c, 300, 0.95, benchSeed)
+	}
+}

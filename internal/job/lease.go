@@ -28,7 +28,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strconv"
 	"strings"
 	"time"
 )
@@ -161,22 +160,18 @@ func (q *Queue) releaseLease(j *Job) {
 // racing the claimant's first write — is treated as live until its
 // claimant writes a readable deadline: the conservative reading, since
 // presuming it dead risks a dual claim.
+//
+// Epochs have no gaps — every claim is an O_EXCL create at (highest epoch
+// seen)+1 and lease files are never deleted — so probing <id>.lease.1, .2,
+// … up to the first missing one finds the highest, in O(this job's epochs)
+// syscalls however much history the directory holds.
 func (q *Queue) diskEpoch(id string) (uint64, Lease) {
-	entries, err := os.ReadDir(q.dir)
-	if err != nil {
-		return 0, Lease{}
-	}
 	var max uint64
-	prefix := id + leaseInfix
-	for _, e := range entries {
-		if !strings.HasPrefix(e.Name(), prefix) || strings.HasSuffix(e.Name(), ".tmp") {
-			continue
+	for {
+		if _, err := os.Lstat(q.leasePath(id, max+1)); err != nil {
+			break
 		}
-		epoch, err := strconv.ParseUint(e.Name()[len(prefix):], 10, 64)
-		if err != nil || epoch <= max {
-			continue
-		}
-		max = epoch
+		max++
 	}
 	if max == 0 {
 		return 0, Lease{}
@@ -360,8 +355,10 @@ func (q *Queue) reapLocked() {
 			continue
 		}
 		id := strings.TrimSuffix(name, jobSuffix)
-		if j, ok := q.jobs[id]; ok && !j.State.Terminal() {
-			continue // locally owned (running, or parked awaiting its backoff)
+		if j, ok := q.jobs[id]; ok && (!j.State.Terminal() || j.State == StateDone) {
+			// Locally owned (running, or parked awaiting its backoff), or
+			// done: done is final, no path re-runs a done job.
+			continue
 		}
 		max, lease := q.diskEpoch(id)
 		if max > 0 && !lease.Expired(now) {

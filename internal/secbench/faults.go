@@ -82,7 +82,7 @@ func (fc FaultCell) DetectedTotal() int {
 // Kinds renders the detection map compactly in a stable order.
 func (fc FaultCell) Kinds() string {
 	s := ""
-	for _, k := range []string{"invariant", "fault", "panic", "fuel-exhausted", "bench-failed", "corrupt-refused"} {
+	for _, k := range []string{"invariant", "fault", "panic", "fuel-exhausted", "bench-failed", "corrupt-refused", "tail-recomputed"} {
 		if n := fc.Detected[k]; n > 0 {
 			if s != "" {
 				s += " "
@@ -193,51 +193,93 @@ func (c Config) RunFaultCell(v model.Vulnerability, mapped bool, site faultinjec
 	return cell, nil
 }
 
+// RestOutcome classifies a resume from a checkpoint corrupted at rest.
+type RestOutcome int
+
+// The acceptable outcomes of VerifyCheckpointFault. Anything else — a
+// resume that returns different content — is silent corruption and is
+// reported as an error instead.
+const (
+	// RestRefused: the resume failed loudly (checkpoint.ErrCorrupt,
+	// ErrMismatch, or a version refusal). A corrupt checkpoint is never
+	// resumed.
+	RestRefused RestOutcome = iota
+	// RestIntact: the resume recovered the unit bit-identical; the damage
+	// hit bytes with no semantic content.
+	RestIntact
+	// RestRecomputed: the unit was lost to a cut tail — the damage left its
+	// frame an unterminated last line, which the resume drops — and was
+	// recomputed and recorded again into a valid log.
+	RestRecomputed
+)
+
+func (o RestOutcome) String() string {
+	switch o {
+	case RestRefused:
+		return "refused"
+	case RestIntact:
+		return "intact"
+	case RestRecomputed:
+		return "unit lost to a cut tail, recomputed"
+	}
+	return fmt.Sprintf("RestOutcome(%d)", int(o))
+}
+
 // VerifyCheckpointFault exercises one at-rest checkpoint fault site: it
 // writes a valid checkpoint carrying this campaign's fingerprint, corrupts
-// the file with the site, and verifies that resuming either fails loudly
-// (checkpoint.ErrCorrupt, or any typed refusal) or recovers content
-// bit-identical to what was written (the corruption hit non-semantic bytes).
-// A resume that succeeds with different content is silent corruption and is
-// returned as an error.
-func (c Config) VerifyCheckpointFault(dir string, site faultinject.Site, seed uint64) (detected bool, detail string, err error) {
+// the file with the site, resumes it, and classifies the resume as a
+// RestOutcome. For RestRecomputed it also records the unit again, as the
+// runner would after recomputing it, and requires the log to resume it
+// intact. A resume that succeeds with different content is silent
+// corruption and is returned as an error.
+func (c Config) VerifyCheckpointFault(dir string, site faultinject.Site, seed uint64) (outcome RestOutcome, detail string, err error) {
 	path := filepath.Join(dir, fmt.Sprintf("ck-%s-%x.json", site, seed))
 	fp := c.Fingerprint(false)
 	ck, err := checkpoint.Open(path, fp, 1, false)
 	if err != nil {
-		return false, "", err
+		return RestRefused, "", err
 	}
+	const key = "unit-under-test"
 	want := unitCounts{Misses: 7, Survivors: 9}
-	if err := ck.Record("unit-under-test", want); err != nil {
-		return false, "", err
+	if err := ck.Record(key, want); err != nil {
+		return RestRefused, "", err
 	}
 	detail, err = faultinject.CorruptFile(site, path, seed)
 	if err != nil {
-		return false, detail, err
+		return RestRefused, detail, err
 	}
 	re, err := checkpoint.Open(path, fp, 1, true)
 	if err != nil {
 		// Loud refusal: a corrupt checkpoint must never be resumed. The
 		// checksum and parse guards surface as ErrCorrupt; corruption of the
-		// fingerprint field itself surfaces as ErrMismatch; either is a
-		// detection.
-		if errors.Is(err, checkpoint.ErrCorrupt) || errors.Is(err, checkpoint.ErrMismatch) {
-			return true, detail, nil
-		}
-		// Other typed refusals (e.g. a corrupted version field) are still
-		// loud failures, not silent corruption.
-		return true, detail, nil
+		// fingerprint field itself surfaces as ErrMismatch; a corrupted
+		// version field as a version refusal. Every one is a detection.
+		return RestRefused, detail, nil
 	}
 	var got unitCounts
-	ok, err := re.Lookup("unit-under-test", &got)
+	ok, err := re.Lookup(key, &got)
 	if err != nil {
-		return true, detail, nil
+		return RestRefused, detail, nil
 	}
-	if ok && got.Misses == want.Misses && got.Survivors == want.Survivors &&
-		len(got.Quarantined) == 0 && re.Len() == 1 {
-		// The flip landed in bytes with no semantic content (trailing
-		// whitespace): recovery is bit-identical, which is a legal outcome.
-		return false, detail, nil
+	same := func(u unitCounts) bool {
+		return u.Misses == want.Misses && u.Survivors == want.Survivors && len(u.Quarantined) == 0
 	}
-	return false, detail, fmt.Errorf("checkpoint resumed silently with corrupt content after %s (%s): got %+v want %+v", site, detail, got, want)
+	switch {
+	case ok && same(got) && re.Len() == 1:
+		return RestIntact, detail, nil
+	case !ok && re.Len() == 0:
+		if err := re.Record(key, want); err != nil {
+			return RestRecomputed, detail, fmt.Errorf("recording the recomputed unit after %s (%s): %w", site, detail, err)
+		}
+		again, err := checkpoint.Open(path, fp, 1, true)
+		if err != nil {
+			return RestRecomputed, detail, fmt.Errorf("log invalid after recomputing the unit lost to %s (%s): %w", site, detail, err)
+		}
+		got = unitCounts{}
+		if ok, err := again.Lookup(key, &got); !ok || err != nil || !same(got) || again.Len() != 1 {
+			return RestRecomputed, detail, fmt.Errorf("recomputed unit did not resume after %s (%s): got %+v want %+v", site, detail, got, want)
+		}
+		return RestRecomputed, detail, nil
+	}
+	return RestIntact, detail, fmt.Errorf("checkpoint resumed silently with corrupt content after %s (%s): got %+v want %+v", site, detail, got, want)
 }

@@ -71,8 +71,9 @@ func TestFaultMatrix(t *testing.T) {
 }
 
 // TestFaultMatrixCheckpointSites verifies the at-rest sites: a corrupted
-// checkpoint must never resume silently — every seed either fails loudly or
-// recovers bit-identical content, and the loud failure must actually occur.
+// checkpoint must never resume silently — every seed either fails loudly,
+// recovers bit-identical content, or loses the unit to a cut tail and
+// recomputes it — and the loud failure must actually occur.
 func TestFaultMatrixCheckpointSites(t *testing.T) {
 	cfg := matrixConfig(DesignSA)
 	for _, site := range []faultinject.Site{faultinject.SiteCheckpointTruncate, faultinject.SiteCheckpointBitRot} {
@@ -81,15 +82,15 @@ func TestFaultMatrixCheckpointSites(t *testing.T) {
 			dir := t.TempDir()
 			detections := 0
 			for seed := uint64(1); seed <= 8; seed++ {
-				detected, detail, err := cfg.VerifyCheckpointFault(dir, site, seed)
+				outcome, detail, err := cfg.VerifyCheckpointFault(dir, site, seed)
 				if err != nil {
 					t.Errorf("seed %d: %v", seed, err)
 					continue
 				}
-				if detected {
+				if outcome == RestRefused {
 					detections++
 				} else {
-					t.Logf("seed %d: benign at-rest fault (%s)", seed, detail)
+					t.Logf("seed %d: %s (%s)", seed, outcome, detail)
 				}
 			}
 			if detections == 0 {
@@ -226,11 +227,11 @@ func TestEverySiteCaughtByAnAssertion(t *testing.T) {
 				cfg := matrixConfig(DesignSA)
 				dir := t.TempDir()
 				for seed := uint64(1); seed <= 8; seed++ {
-					detected, _, err := cfg.VerifyCheckpointFault(dir, site, seed)
+					outcome, _, err := cfg.VerifyCheckpointFault(dir, site, seed)
 					if err != nil {
 						t.Fatalf("seed %d: %v", seed, err)
 					}
-					if detected {
+					if outcome == RestRefused {
 						return
 					}
 				}
