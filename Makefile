@@ -38,16 +38,19 @@ race:
 	$(GO) test -race -timeout 10m ./...
 
 # Serial-vs-parallel campaign engine comparison plus the Clone micro-costs,
-# then the trace-replay A/B pairs, the bootstrap interval (kernel and its
-# scalar reference) and the per-unit checkpoint Record aggregated into
-# BENCH_campaign.json (the checked-in record of the capture-once/
-# replay-everywhere speedup; medians across -count runs, so one noisy run
-# cannot skew it).
+# then the trace-replay A/B pairs, the per-design Translate rows, the
+# bootstrap interval (kernel and its scalar reference) and the per-unit
+# checkpoint Record aggregated into BENCH_campaign.json (the checked-in
+# record of the capture-once/replay-everywhere speedup; medians across
+# -count runs, so one noisy run cannot skew it). A Translate row is one
+# lookup, so it runs a million of them per count: at the campaigns' 20
+# iterations it would time a cold array.
 bench:
 	$(GO) test -run xxx -bench 'RunVulnerability|RunAll(Serial|Parallel)' -benchtime 2x .
 	$(GO) test -run xxx -bench Clone ./internal/mem/ ./internal/cpu/
-	{ $(GO) test -run xxx -bench 'Table4SecurityEval(RF|RI|FS)|Campaign(TraceReplay|FullExec)|Figure7(TraceReplay|FullExec)|Translate' \
+	{ $(GO) test -run xxx -bench 'Table4SecurityEval(RF|RI|FS)|Campaign(TraceReplay|FullExec)|Figure7(TraceReplay|FullExec)' \
 		-benchmem -benchtime 20x -count 5 . && \
+	  $(GO) test -run xxx -bench 'Translate' -benchmem -benchtime 1000000x -count 5 . && \
 	  $(GO) test -run xxx -bench 'BootstrapCI(Reference)?$$|Record$$' -benchmem -count 5 ./internal/capacity/ ./internal/checkpoint/; } \
 		| $(GO) run ./cmd/benchjson -out BENCH_campaign.json
 
@@ -78,13 +81,15 @@ assert-smoke:
 	$(GO) run ./cmd/faultbench -trials 1 -vulns 1 -require-detect=false
 
 # Short native-fuzzing pass over the assembler, the binary program decoder,
-# the RI TLB's index cipher, the checkpoint log reader and the bootstrap
-# kernel against its scalar reference (the checked-in corpora under
-# testdata/fuzz run in plain `go test`; this explores beyond them).
+# the RI TLB's index cipher, the TLB array's lookup index against the set
+# scan, the checkpoint log reader and the bootstrap kernel against its
+# scalar reference (the checked-in corpora under testdata/fuzz run in plain
+# `go test`; this explores beyond them).
 fuzz-smoke:
 	$(GO) test -fuzz FuzzAssemble -fuzztime $(FUZZTIME) ./internal/asm/
 	$(GO) test -fuzz FuzzDecode -fuzztime $(FUZZTIME) ./internal/isa/
 	$(GO) test -fuzz FuzzRandIdxCipher -fuzztime $(FUZZTIME) ./internal/tlb/
+	$(GO) test -fuzz FuzzSetLookup -fuzztime $(FUZZTIME) ./internal/tlb/
 	$(GO) test -fuzz FuzzCheckpointOpen -fuzztime $(FUZZTIME) ./internal/checkpoint/
 	$(GO) test -fuzz FuzzBootstrapCI -fuzztime $(FUZZTIME) ./internal/capacity/
 

@@ -236,57 +236,79 @@ func BenchmarkTLBleedKeyRecovery(b *testing.B) {
 
 // --- TLB design micro-benchmarks ---------------------------------------------------
 
-func benchTranslate(b *testing.B, mk func() (tlb.TLB, error)) {
+// benchTranslate times Translate cycling through the pages base..base+span-1
+// of ASID 1, after one untimed pass over them. The plain rows cycle 64
+// pages through 32-entry arrays, which under LRU makes every fully
+// associative lookup a miss; the Hit rows cycle a working set that fits, so
+// after the warm-up pass every lookup hits.
+func benchTranslate(b *testing.B, mk func() (tlb.TLB, error), base, span int) {
 	t, err := mk()
 	if err != nil {
 		b.Fatal(err)
 	}
+	for i := 0; i < span; i++ {
+		if _, err := t.Translate(1, tlb.VPN(base+i)); err != nil {
+			b.Fatal(err)
+		}
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := t.Translate(1, tlb.VPN(i%64)); err != nil {
+		if _, err := t.Translate(1, tlb.VPN(base+i%span)); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-func BenchmarkTranslateSA4W32(b *testing.B) {
-	benchTranslate(b, func() (tlb.TLB, error) { return tlb.NewSetAssoc(32, 4, identityWalker()) })
+func newSA4W32() (tlb.TLB, error) { return tlb.NewSetAssoc(32, 4, identityWalker()) }
+func newFA32() (tlb.TLB, error)   { return tlb.NewFullyAssoc(32, identityWalker()) }
+func newFA128() (tlb.TLB, error)  { return tlb.NewFullyAssoc(128, identityWalker()) }
+func newRI4W32() (tlb.TLB, error) { return tlb.NewRandIdx(32, 4, identityWalker(), 1, 4096) }
+func newFS4W32() (tlb.TLB, error) { return tlb.NewFlushOnSwitch(32, 4, identityWalker()) }
+func newSP4W32() (tlb.TLB, error) {
+	sp, err := tlb.NewSP(32, 4, 2, identityWalker())
+	if err == nil {
+		sp.SetVictim(1)
+	}
+	return sp, err
 }
 
-func BenchmarkTranslateFA32(b *testing.B) {
-	benchTranslate(b, func() (tlb.TLB, error) { return tlb.NewFullyAssoc(32, identityWalker()) })
+// newRF8W32Secure makes pages 0..30 secure, so the plain row's lookups of
+// them are random-fill misses; its Hit row uses pages outside the region.
+func newRF8W32Secure() (tlb.TLB, error) {
+	rf, err := tlb.NewRF(32, 8, identityWalker(), 1)
+	if err == nil {
+		rf.SetVictim(1)
+		rf.SetSecureRegion(0, 31)
+	}
+	return rf, err
 }
 
-func BenchmarkTranslateSP4W32(b *testing.B) {
-	benchTranslate(b, func() (tlb.TLB, error) {
-		sp, err := tlb.NewSP(32, 4, 2, identityWalker())
-		if err == nil {
-			sp.SetVictim(1)
-		}
-		return sp, err
-	})
-}
-
-func BenchmarkTranslateRF8W32Secure(b *testing.B) {
-	benchTranslate(b, func() (tlb.TLB, error) {
-		rf, err := tlb.NewRF(32, 8, identityWalker(), 1)
-		if err == nil {
-			rf.SetVictim(1)
-			rf.SetSecureRegion(0, 31)
-		}
-		return rf, err
-	})
-}
+func BenchmarkTranslateSA4W32(b *testing.B)       { benchTranslate(b, newSA4W32, 0, 64) }
+func BenchmarkTranslateFA32(b *testing.B)         { benchTranslate(b, newFA32, 0, 64) }
+func BenchmarkTranslateSP4W32(b *testing.B)       { benchTranslate(b, newSP4W32, 0, 64) }
+func BenchmarkTranslateRF8W32Secure(b *testing.B) { benchTranslate(b, newRF8W32Secure, 0, 64) }
 
 // BenchmarkTranslateRI4W32 re-keys on the Figure 7 ext-RI schedule (every
 // 4096 fills); every lookup pays one keyed-index encryption.
-func BenchmarkTranslateRI4W32(b *testing.B) {
-	benchTranslate(b, func() (tlb.TLB, error) { return tlb.NewRandIdx(32, 4, identityWalker(), 1, 4096) })
-}
+func BenchmarkTranslateRI4W32(b *testing.B) { benchTranslate(b, newRI4W32, 0, 64) }
+func BenchmarkTranslateFS4W32(b *testing.B) { benchTranslate(b, newFS4W32, 0, 64) }
 
-func BenchmarkTranslateFS4W32(b *testing.B) {
-	benchTranslate(b, func() (tlb.TLB, error) { return tlb.NewFlushOnSwitch(32, 4, identityWalker()) })
-}
+// BenchmarkTranslateFA128Miss cycles twice the capacity: every lookup
+// misses and evicts the least recently used of 128 valid ways.
+func BenchmarkTranslateFA128Miss(b *testing.B) { benchTranslate(b, newFA128, 0, 256) }
+
+func BenchmarkTranslateSA4W32Hit(b *testing.B) { benchTranslate(b, newSA4W32, 0, 16) }
+func BenchmarkTranslateFA32Hit(b *testing.B)   { benchTranslate(b, newFA32, 0, 32) }
+func BenchmarkTranslateFA128Hit(b *testing.B)  { benchTranslate(b, newFA128, 0, 128) }
+
+// The SP victim fills only its two-way partition: 8 pages fit.
+func BenchmarkTranslateSP4W32Hit(b *testing.B)       { benchTranslate(b, newSP4W32, 0, 8) }
+func BenchmarkTranslateRF8W32SecureHit(b *testing.B) { benchTranslate(b, newRF8W32Secure, 64, 16) }
+
+// The keyed index spreads pages over sets at random; 8 pages in 8 sets of
+// 4 ways fit under the benchmark's key.
+func BenchmarkTranslateRI4W32Hit(b *testing.B) { benchTranslate(b, newRI4W32, 0, 8) }
+func BenchmarkTranslateFS4W32Hit(b *testing.B) { benchTranslate(b, newFS4W32, 0, 16) }
 
 // --- Ablations (DESIGN.md §5) --------------------------------------------------------
 

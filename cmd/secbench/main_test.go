@@ -55,13 +55,21 @@ func TestInterruptResumeBitIdentical(t *testing.T) {
 	if err := intCmd.Start(); err != nil {
 		t.Fatal(err)
 	}
+	// Until the Wait below reaps it, a failing test kills and reaps the run
+	// on cleanup, so no campaign outlives the test.
+	reaped := false
+	t.Cleanup(func() {
+		if !reaped {
+			intCmd.Process.Kill()
+			intCmd.Wait()
+		}
+	})
 	deadline := time.Now().Add(30 * time.Second)
 	for {
 		if _, err := os.Stat(ckPath); err == nil {
 			break
 		}
 		if time.Now().After(deadline) {
-			intCmd.Process.Kill()
 			t.Fatal("no checkpoint flush within 30s")
 		}
 		time.Sleep(5 * time.Millisecond)
@@ -70,6 +78,7 @@ func TestInterruptResumeBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	err := intCmd.Wait()
+	reaped = true
 	ee, ok := err.(*exec.ExitError)
 	if !ok {
 		t.Fatalf("interrupted run exited without error (%v): campaign finished before the signal landed", err)

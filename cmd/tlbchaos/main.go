@@ -439,6 +439,7 @@ func (c *controller) start(ctx context.Context) error {
 			select {
 			case <-ctx.Done():
 				cmd.Process.Kill()
+				cmd.Wait()
 				return ctx.Err()
 			case <-time.After(10 * time.Millisecond):
 			}

@@ -29,12 +29,15 @@ func buildDaemon(t *testing.T) string {
 
 // daemon is one running tlbserved process under test.
 type daemon struct {
-	cmd  *exec.Cmd
-	base string
+	cmd     *exec.Cmd
+	base    string
+	stopped bool // stop has reaped the process
 }
 
 // startDaemon launches the binary against dir and waits for the address
-// file to learn its base URL.
+// file to learn its base URL. Unless stop reaps the daemon first, the
+// test's cleanup kills and reaps it, so a test that fails early leaves no
+// daemon serving.
 func startDaemon(t *testing.T, bin, dir string) *daemon {
 	t.Helper()
 	// A restart over a used data dir must not race us onto the previous
@@ -46,14 +49,21 @@ func startDaemon(t *testing.T, bin, dir string) *daemon {
 	if err := cmd.Start(); err != nil {
 		t.Fatal(err)
 	}
+	d := &daemon{cmd: cmd}
+	t.Cleanup(func() {
+		if !d.stopped {
+			cmd.Process.Kill()
+			cmd.Wait()
+		}
+	})
 	deadline := time.Now().Add(30 * time.Second)
 	for {
 		raw, err := os.ReadFile(addrPath)
 		if err == nil && len(raw) > 0 {
-			return &daemon{cmd: cmd, base: "http://" + strings.TrimSpace(string(raw))}
+			d.base = "http://" + strings.TrimSpace(string(raw))
+			return d
 		}
 		if time.Now().After(deadline) {
-			cmd.Process.Kill()
 			t.Fatal("daemon never wrote its address file")
 		}
 		time.Sleep(5 * time.Millisecond)
@@ -66,7 +76,9 @@ func (d *daemon) stop(t *testing.T) {
 	if err := d.cmd.Process.Signal(syscall.SIGTERM); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.cmd.Wait(); err != nil {
+	err := d.cmd.Wait()
+	d.stopped = true
+	if err != nil {
 		t.Fatalf("daemon exited uncleanly: %v", err)
 	}
 }
@@ -169,7 +181,6 @@ func TestSigtermRestartBitIdentical(t *testing.T) {
 			break
 		}
 		if time.Now().After(deadline) {
-			d.cmd.Process.Kill()
 			t.Fatal("no checkpoint flush within 60s")
 		}
 		time.Sleep(5 * time.Millisecond)

@@ -477,7 +477,11 @@ func TestPow2SetIndexAgreement(t *testing.T) {
 // allocate nothing, so assertion-enabled campaigns do not churn the GC.
 func TestTranslateZeroAlloc(t *testing.T) {
 	taps := 0
-	for name, inner := range map[string]tlb.TLB{"sa": newSA(t), "sp": newSP(t), "rf": newRF(t)} {
+	fa, err := tlb.NewFullyAssoc(32, testWalker())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, inner := range map[string]tlb.TLB{"sa": newSA(t), "sp": newSP(t), "rf": newRF(t), "fa": fa} {
 		m, err := Wrap(inner, testWalker(), Options{CrossCheck: true, Tap: func(Event) { taps++ }})
 		if err != nil {
 			t.Fatal(err)

@@ -299,7 +299,7 @@ func (c Counts) BootstrapCICtx(ctx context.Context, resamples int, conf float64,
 		return v, v, nil
 	}
 	key := bootstrapKey{c, resamples, conf, seed}
-	if v, ok := bootstrapCache.Load(key); ok {
+	if v, ok := bootstrapCache.Load().Load(key); ok {
 		cv := v.(bootstrapVal)
 		return cv.lo, cv.hi, nil
 	}
@@ -337,11 +337,15 @@ func (c Counts) BootstrapCICtx(ctx context.Context, resamples int, conf float64,
 	if hiIdx >= resamples {
 		hiIdx = resamples - 1
 	}
-	if bootstrapCacheN.Add(1) <= bootstrapCacheCap {
-		bootstrapCache.Store(key, bootstrapVal{caps[loIdx], caps[hiIdx]})
-	} else {
-		bootstrapCacheN.Add(-1)
+	if bootstrapCacheN.Add(1) > bootstrapCacheCap {
+		// Generational eviction, as perf's stream cache does: start a new
+		// memo rather than stop memoising. Every interval is a pure
+		// function of its key, so a racing store into the old generation
+		// costs at most a recomputation.
+		bootstrapCache.Store(new(sync.Map))
+		bootstrapCacheN.Store(1)
 	}
+	bootstrapCache.Load().Store(key, bootstrapVal{caps[loIdx], caps[hiIdx]})
 	return caps[loIdx], caps[hiIdx], nil
 }
 
@@ -360,12 +364,16 @@ type bootstrapKey struct {
 
 type bootstrapVal struct{ lo, hi float64 }
 
-// bootstrapCache maps bootstrapKey to bootstrapVal, bounded to cap memory on
-// adversarial sweeps (beyond the cap every computation just runs).
+// bootstrapCache maps bootstrapKey to bootstrapVal. It holds at most
+// bootstrapCacheCap intervals: the store that would exceed the cap replaces
+// the whole map with an empty one, so a daemon serving many distinct
+// campaigns keeps memoising its recent ones.
 var (
-	bootstrapCache  sync.Map
+	bootstrapCache  atomic.Pointer[sync.Map]
 	bootstrapCacheN atomic.Int32
 )
+
+func init() { bootstrapCache.Store(new(sync.Map)) }
 
 const bootstrapCacheCap = 1 << 12
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -262,6 +263,62 @@ func TestBootstrapCI(t *testing.T) {
 	if lo != 0 || hi != 0 {
 		t.Errorf("empty counts CI = [%v,%v]", lo, hi)
 	}
+}
+
+// TestBootstrapMemoPastCap: once more than bootstrapCacheCap distinct
+// intervals have been computed, a new key is still memoised, and the memo
+// serves it bit-identically to a fresh computation.
+func TestBootstrapMemoPastCap(t *testing.T) {
+	c := Counts{Mapped: 20, MappedMisses: 7, NotMapped: 20, NotMappedMisses: 12}
+	for seed := uint64(0); seed <= bootstrapCacheCap; seed++ {
+		c.BootstrapCI(8, 0.95, seed)
+	}
+	late := Counts{Mapped: 30, MappedMisses: 11, NotMapped: 30, NotMappedMisses: 19}
+	lo, hi := late.BootstrapCI(64, 0.95, 7)
+	v, ok := bootstrapCache.Load().Load(bootstrapKey{late, 64, 0.95, 7})
+	if !ok {
+		t.Fatalf("interval computed after %d distinct keys was not memoised", bootstrapCacheCap+1)
+	}
+	if m := v.(bootstrapVal); m.lo != lo || m.hi != hi {
+		t.Fatalf("memo holds [%v,%v], computed [%v,%v]", m.lo, m.hi, lo, hi)
+	}
+	if lo2, hi2 := late.BootstrapCI(64, 0.95, 7); math.Float64bits(lo2) != math.Float64bits(lo) || math.Float64bits(hi2) != math.Float64bits(hi) {
+		t.Fatalf("memo served [%v,%v], first computation [%v,%v]", lo2, hi2, lo, hi)
+	}
+	// A fresh memo recomputes the same interval, bit for bit.
+	bootstrapCache.Store(new(sync.Map))
+	bootstrapCacheN.Store(0)
+	if lo3, hi3 := late.BootstrapCI(64, 0.95, 7); math.Float64bits(lo3) != math.Float64bits(lo) || math.Float64bits(hi3) != math.Float64bits(hi) {
+		t.Fatalf("recomputed [%v,%v], memoised [%v,%v]", lo3, hi3, lo, hi)
+	}
+}
+
+// TestBootstrapMemoConcurrent computes intervals from several goroutines
+// at once, across the memo's generation changes: each must equal its
+// serial computation (run it under -race).
+func TestBootstrapMemoConcurrent(t *testing.T) {
+	const workers, keys = 4, bootstrapCacheCap/2 + 1
+	c := Counts{Mapped: 20, MappedMisses: 9, NotMapped: 20, NotMappedMisses: 13}
+	want := make([][2]float64, keys)
+	for k := range want {
+		want[k][0], want[k][1] = c.BootstrapCI(8, 0.9, uint64(k))
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < workers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for k := range want {
+				seed := uint64(k + g*keys) // fresh keys push the memo over its cap
+				c.BootstrapCI(8, 0.9, seed)
+				if lo, hi := c.BootstrapCI(8, 0.9, uint64(k)); lo != want[k][0] || hi != want[k][1] {
+					t.Errorf("worker %d key %d: [%v,%v], serial [%v,%v]", g, k, lo, hi, want[k][0], want[k][1])
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }
 
 func TestBootstrapCICtx(t *testing.T) {

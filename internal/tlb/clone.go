@@ -28,26 +28,12 @@ func Clone(t TLB, w Walker) (TLB, error) {
 	return n, nil
 }
 
-// cloneSets deep-copies a set array, preserving the contiguous backing
-// layout of the constructors.
-func cloneSets(sets [][]entry, entries, ways int) ([][]entry, []entry) {
-	out := make([][]entry, len(sets))
-	backing := make([]entry, entries)
-	rest := backing
-	for i := range sets {
-		out[i], rest = rest[:ways], rest[ways:]
-		copy(out[i], sets[i])
-	}
-	return out, backing
-}
-
 // CloneWith implements Cloner. Fault hooks are per-instance campaign state
 // and are deliberately not inherited.
 func (t *SetAssoc) CloneWith(w Walker) TLB {
 	n := *t
 	n.walker = w
-	n.sets, n.backing = cloneSets(t.sets, t.geom.entries, t.geom.ways)
-	n.hook = nil
+	n.array = t.clone()
 	return &n
 }
 
@@ -55,8 +41,7 @@ func (t *SetAssoc) CloneWith(w Walker) TLB {
 func (t *SP) CloneWith(w Walker) TLB {
 	n := *t
 	n.walker = w
-	n.sets, n.backing = cloneSets(t.sets, t.geom.entries, t.geom.ways)
-	n.hook = nil
+	n.array = t.clone()
 	return &n
 }
 
@@ -66,10 +51,9 @@ func (t *SP) CloneWith(w Walker) TLB {
 func (t *RF) CloneWith(w Walker) TLB {
 	n := *t
 	n.walker = w
-	n.sets, n.backing = cloneSets(t.sets, t.geom.entries, t.geom.ways)
+	n.array = t.clone()
 	rngCopy := *t.rng
 	n.rng = &rngCopy
-	n.hook = nil
 	return &n
 }
 
@@ -79,10 +63,9 @@ func (t *RF) CloneWith(w Walker) TLB {
 func (t *RandIdx) CloneWith(w Walker) TLB {
 	n := *t
 	n.walker = w
-	n.sets, n.backing = cloneSets(t.sets, t.geom.entries, t.geom.ways)
+	n.array = t.clone()
 	rngCopy := *t.rng
 	n.rng = &rngCopy
-	n.hook = nil
 	return &n
 }
 
@@ -90,8 +73,7 @@ func (t *RandIdx) CloneWith(w Walker) TLB {
 func (t *FlushOnSwitch) CloneWith(w Walker) TLB {
 	n := *t
 	n.walker = w
-	n.sets, n.backing = cloneSets(t.sets, t.geom.entries, t.geom.ways)
-	n.hook = nil
+	n.array = t.clone()
 	return &n
 }
 

@@ -21,14 +21,11 @@ import "fmt"
 // No cross-context state survives a switch, so the design needs neither
 // partitioning nor randomization: its security argument is erasure.
 type FlushOnSwitch struct {
-	geom    geometry
-	timing  Timing
-	walker  Walker
-	sets    [][]entry
-	backing []entry // contiguous storage behind sets, cleared whole on flush
-	clock   uint64
-	stats   Stats
-	hook    *FaultHook
+	array
+	timing Timing
+	walker Walker
+	clock  uint64
+	stats  Stats
 
 	victim    ASID
 	hasVictim bool
@@ -57,9 +54,7 @@ func NewFlushOnSwitch(entries, ways int, walker Walker) (*FlushOnSwitch, error) 
 	if walker == nil {
 		return nil, fmt.Errorf("tlb: walker must not be nil")
 	}
-	t := &FlushOnSwitch{geom: g, timing: DefaultTiming, walker: walker}
-	t.sets, t.backing = newSets(g)
-	return t, nil
+	return &FlushOnSwitch{array: newArray(g), timing: DefaultTiming, walker: walker}, nil
 }
 
 // SetTiming overrides the lookup latency parameters.
@@ -108,7 +103,7 @@ func (t *FlushOnSwitch) autoFlush() {
 	if !t.hook.autoFlushAllowed() {
 		return
 	}
-	clear(t.backing)
+	t.clearAll()
 	t.stats.Flushes++
 }
 
@@ -122,17 +117,6 @@ func (t *FlushOnSwitch) ObserveASID(asid ASID) {
 		t.autoFlush()
 	}
 	t.cur, t.hasCur, t.lastSecure = asid, true, false
-}
-
-func (t *FlushOnSwitch) find(s int, asid ASID, vpn VPN) int {
-	set := t.sets[s]
-	for w := range set {
-		e := &set[w]
-		if e.valid && e.vpn == vpn && e.asid == asid {
-			return w
-		}
-	}
-	return -1
 }
 
 // Translate implements TLB.
@@ -162,11 +146,17 @@ func (t *FlushOnSwitch) translate(asid ASID, vpn VPN, res *Result) error {
 	t.lastSecure = sec
 	s := t.geom.setIndex(vpn)
 	t.clock++
-	hit, victim := findOrVictim(t.sets[s], asid, vpn)
+	// array.lookup, written out so a narrow set's scan inlines here.
+	var hit, victim int
+	if t.scan {
+		hit, victim = scanSet(t.sets[s], asid, vpn)
+	} else {
+		hit, victim = t.lookupIndexed(s, asid, vpn, 0, t.geom.ways)
+	}
 	if hit >= 0 {
 		e := &t.sets[s][hit]
 		if t.hook.touchAllowed(s, hit) {
-			e.stamp = t.clock
+			t.touch(e, s, hit, t.clock)
 		}
 		t.stats.Hits++
 		res.PPN, res.Hit, res.Cycles = e.ppn, true, t.timing.HitCycles
@@ -191,11 +181,11 @@ func (t *FlushOnSwitch) translate(asid ASID, vpn VPN, res *Result) error {
 		res.Evicted, res.EvictedVPN, res.EvictedASID = true, e.vpn, e.asid
 		t.stats.Evictions++
 	}
-	*e = entry{valid: true, asid: asid, vpn: vpn, ppn: ppn, stamp: t.clock}
+	t.install(e, s, w, entry{valid: true, asid: asid, vpn: vpn, ppn: ppn, stamp: t.clock})
 	t.stats.Fills++
 	if action == FillDuplicate {
 		if w2 := (w + 1) % len(t.sets[s]); w2 != w {
-			t.sets[s][w2] = *e
+			t.install(&t.sets[s][w2], s, w2, *e)
 		}
 	}
 	return nil
@@ -211,7 +201,7 @@ func (t *FlushOnSwitch) Probe(asid ASID, vpn VPN) bool {
 // switch/exit bookkeeping must be a pure function of the trial's own
 // accesses for sharded and serial runs to stay bit-identical.
 func (t *FlushOnSwitch) FlushAll() {
-	clear(t.backing)
+	t.clearAll()
 	t.stats.Flushes++
 	t.hasCur = false
 	t.lastSecure = false
@@ -219,13 +209,7 @@ func (t *FlushOnSwitch) FlushAll() {
 
 // FlushASID implements TLB.
 func (t *FlushOnSwitch) FlushASID(asid ASID) {
-	for s := range t.sets {
-		for w := range t.sets[s] {
-			if t.sets[s][w].valid && t.sets[s][w].asid == asid {
-				t.sets[s][w] = entry{}
-			}
-		}
-	}
+	t.flushASID(asid)
 	t.stats.Flushes++
 }
 
@@ -234,7 +218,7 @@ func (t *FlushOnSwitch) FlushPage(asid ASID, vpn VPN) bool {
 	s := t.geom.setIndex(vpn)
 	t.stats.Flushes++
 	if w := t.find(s, asid, vpn); w >= 0 {
-		t.sets[s][w] = entry{}
+		t.invalidate(s, w)
 		return true
 	}
 	return false
@@ -242,15 +226,6 @@ func (t *FlushOnSwitch) FlushPage(asid ASID, vpn VPN) bool {
 
 // FlushPageAllASIDs implements TLB.
 func (t *FlushOnSwitch) FlushPageAllASIDs(vpn VPN) bool {
-	s := t.geom.setIndex(vpn)
 	t.stats.Flushes++
-	any := false
-	for w := range t.sets[s] {
-		e := &t.sets[s][w]
-		if e.valid && e.vpn == vpn {
-			*e = entry{}
-			any = true
-		}
-	}
-	return any
+	return t.flushPageAllASIDs(t.geom.setIndex(vpn), vpn)
 }

@@ -177,11 +177,11 @@ func (t *SetAssoc) SnapshotAppend(dst []EntrySnapshot) []EntrySnapshot {
 
 // CorruptEntry implements Inspectable.
 func (t *SetAssoc) CorruptEntry(set, way int, f func(*EntrySnapshot)) bool {
-	return corruptEntry(t.sets, set, way, f)
+	return t.corrupt(set, way, f)
 }
 
 // SetFaultHook implements Inspectable.
-func (t *SetAssoc) SetFaultHook(h *FaultHook) { t.hook = h }
+func (t *SetAssoc) SetFaultHook(h *FaultHook) { t.setHook(h) }
 
 // SnapshotAppend implements Inspectable.
 func (t *SP) SnapshotAppend(dst []EntrySnapshot) []EntrySnapshot {
@@ -190,11 +190,11 @@ func (t *SP) SnapshotAppend(dst []EntrySnapshot) []EntrySnapshot {
 
 // CorruptEntry implements Inspectable.
 func (t *SP) CorruptEntry(set, way int, f func(*EntrySnapshot)) bool {
-	return corruptEntry(t.sets, set, way, f)
+	return t.corrupt(set, way, f)
 }
 
 // SetFaultHook implements Inspectable.
-func (t *SP) SetFaultHook(h *FaultHook) { t.hook = h }
+func (t *SP) SetFaultHook(h *FaultHook) { t.setHook(h) }
 
 // SnapshotAppend implements Inspectable.
 func (t *RF) SnapshotAppend(dst []EntrySnapshot) []EntrySnapshot {
@@ -203,11 +203,11 @@ func (t *RF) SnapshotAppend(dst []EntrySnapshot) []EntrySnapshot {
 
 // CorruptEntry implements Inspectable.
 func (t *RF) CorruptEntry(set, way int, f func(*EntrySnapshot)) bool {
-	return corruptEntry(t.sets, set, way, f)
+	return t.corrupt(set, way, f)
 }
 
 // SetFaultHook implements Inspectable.
-func (t *RF) SetFaultHook(h *FaultHook) { t.hook = h }
+func (t *RF) SetFaultHook(h *FaultHook) { t.setHook(h) }
 
 // SnapshotAppend implements Inspectable.
 func (t *RandIdx) SnapshotAppend(dst []EntrySnapshot) []EntrySnapshot {
@@ -216,11 +216,11 @@ func (t *RandIdx) SnapshotAppend(dst []EntrySnapshot) []EntrySnapshot {
 
 // CorruptEntry implements Inspectable.
 func (t *RandIdx) CorruptEntry(set, way int, f func(*EntrySnapshot)) bool {
-	return corruptEntry(t.sets, set, way, f)
+	return t.corrupt(set, way, f)
 }
 
 // SetFaultHook implements Inspectable.
-func (t *RandIdx) SetFaultHook(h *FaultHook) { t.hook = h }
+func (t *RandIdx) SetFaultHook(h *FaultHook) { t.setHook(h) }
 
 // SnapshotAppend implements Inspectable.
 func (t *FlushOnSwitch) SnapshotAppend(dst []EntrySnapshot) []EntrySnapshot {
@@ -229,11 +229,11 @@ func (t *FlushOnSwitch) SnapshotAppend(dst []EntrySnapshot) []EntrySnapshot {
 
 // CorruptEntry implements Inspectable.
 func (t *FlushOnSwitch) CorruptEntry(set, way int, f func(*EntrySnapshot)) bool {
-	return corruptEntry(t.sets, set, way, f)
+	return t.corrupt(set, way, f)
 }
 
 // SetFaultHook implements Inspectable.
-func (t *FlushOnSwitch) SetFaultHook(h *FaultHook) { t.hook = h }
+func (t *FlushOnSwitch) SetFaultHook(h *FaultHook) { t.setHook(h) }
 
 var (
 	_ Inspectable = (*SetAssoc)(nil)

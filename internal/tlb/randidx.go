@@ -23,15 +23,12 @@ import "fmt"
 // Hits still require the ASID to match, exactly as in the SA TLB; the
 // randomization changes only where translations are placed.
 type RandIdx struct {
-	geom    geometry
-	timing  Timing
-	walker  Walker
-	sets    [][]entry
-	backing []entry // contiguous storage behind sets, cleared whole on flush
-	clock   uint64
-	stats   Stats
-	rng     *rng
-	hook    *FaultHook
+	array
+	timing Timing
+	walker Walker
+	clock  uint64
+	stats  Stats
+	rng    *rng
 
 	key   uint64 // current index key (epoch key; per-ASID tweak applied per lookup)
 	epoch uint64 // re-key generation, starting at 0
@@ -68,11 +65,10 @@ func NewRandIdx(entries, ways int, walker Walker, seed uint64, rekeyFills uint64
 		return nil, fmt.Errorf("tlb: walker must not be nil")
 	}
 	t := &RandIdx{
-		geom: g, timing: DefaultTiming, walker: walker,
+		array: newArray(g), timing: DefaultTiming, walker: walker,
 		rng: newRNG(seed), RekeyFills: rekeyFills, RekeyCycles: uint64(entries) + 1,
 	}
 	t.key = t.rng.Uint64()
-	t.sets, t.backing = newSets(g)
 	return t, nil
 }
 
@@ -125,22 +121,11 @@ func (t *RandIdx) rekeyDue() bool { return t.RekeyFills > 0 && t.fills >= t.Reke
 // separate events.
 func (t *RandIdx) rekey() {
 	next := t.hook.rekey(t.key, t.rng.Uint64())
-	clear(t.backing)
+	t.clearAll()
 	t.stats.Flushes++
 	t.key = next
 	t.epoch++
 	t.fills = 0
-}
-
-func (t *RandIdx) find(s int, asid ASID, vpn VPN) int {
-	set := t.sets[s]
-	for w := range set {
-		e := &set[w]
-		if e.valid && e.vpn == vpn && e.asid == asid {
-			return w
-		}
-	}
-	return -1
 }
 
 // Translate implements TLB.
@@ -167,11 +152,17 @@ func (t *RandIdx) translate(asid ASID, vpn VPN, res *Result) error {
 	}
 	s := t.index(asid, vpn)
 	t.clock++
-	hit, victim := findOrVictim(t.sets[s], asid, vpn)
+	// array.lookup, written out so a narrow set's scan inlines here.
+	var hit, victim int
+	if t.scan {
+		hit, victim = scanSet(t.sets[s], asid, vpn)
+	} else {
+		hit, victim = t.lookupIndexed(s, asid, vpn, 0, t.geom.ways)
+	}
 	if hit >= 0 {
 		e := &t.sets[s][hit]
 		if t.hook.touchAllowed(s, hit) {
-			e.stamp = t.clock
+			t.touch(e, s, hit, t.clock)
 		}
 		t.stats.Hits++
 		res.PPN, res.Hit, res.Cycles = e.ppn, true, t.timing.HitCycles+rekeyCost
@@ -200,12 +191,12 @@ func (t *RandIdx) translate(asid ASID, vpn VPN, res *Result) error {
 		res.Evicted, res.EvictedVPN, res.EvictedASID = true, e.vpn, e.asid
 		t.stats.Evictions++
 	}
-	*e = entry{valid: true, asid: asid, vpn: vpn, ppn: ppn, stamp: t.clock}
+	t.install(e, s, w, entry{valid: true, asid: asid, vpn: vpn, ppn: ppn, stamp: t.clock})
 	t.stats.Fills++
 	t.fills++
 	if action == FillDuplicate {
 		if w2 := (w + 1) % len(t.sets[s]); w2 != w {
-			t.sets[s][w2] = *e
+			t.install(&t.sets[s][w2], s, w2, *e)
 		}
 	}
 	return nil
@@ -220,19 +211,13 @@ func (t *RandIdx) Probe(asid ASID, vpn VPN) bool {
 // schedule: the schedule bounds key exposure (fills observed under one
 // key), which an array invalidation does not reduce.
 func (t *RandIdx) FlushAll() {
-	clear(t.backing)
+	t.clearAll()
 	t.stats.Flushes++
 }
 
 // FlushASID implements TLB.
 func (t *RandIdx) FlushASID(asid ASID) {
-	for s := range t.sets {
-		for w := range t.sets[s] {
-			if t.sets[s][w].valid && t.sets[s][w].asid == asid {
-				t.sets[s][w] = entry{}
-			}
-		}
-	}
+	t.flushASID(asid)
 	t.stats.Flushes++
 }
 
@@ -241,7 +226,7 @@ func (t *RandIdx) FlushPage(asid ASID, vpn VPN) bool {
 	s := t.index(asid, vpn)
 	t.stats.Flushes++
 	if w := t.find(s, asid, vpn); w >= 0 {
-		t.sets[s][w] = entry{}
+		t.invalidate(s, w)
 		return true
 	}
 	return false
@@ -255,13 +240,7 @@ func (t *RandIdx) FlushPageAllASIDs(vpn VPN) bool {
 	t.stats.Flushes++
 	any := false
 	for s := range t.sets {
-		for w := range t.sets[s] {
-			e := &t.sets[s][w]
-			if e.valid && e.vpn == vpn {
-				*e = entry{}
-				any = true
-			}
-		}
+		any = t.flushPageAllASIDs(s, vpn) || any
 	}
 	return any
 }

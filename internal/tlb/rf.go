@@ -30,15 +30,12 @@ import "fmt"
 // the ablation study: random fills are then dropped whenever the previous
 // miss was "recent" (within LazyFillWindow lookups), modelling starvation.
 type RF struct {
-	geom   geometry
+	array
 	timing Timing
 	walker Walker
-	sets   [][]entry
-	backing []entry // contiguous storage behind sets, cleared whole on FlushAll
 	clock  uint64
 	stats  Stats
 	rng    *rng
-	hook   *FaultHook
 
 	victim    ASID
 	hasVictim bool
@@ -67,9 +64,7 @@ func NewRF(entries, ways int, walker Walker, seed uint64) (*RF, error) {
 	if walker == nil {
 		return nil, fmt.Errorf("tlb: walker must not be nil")
 	}
-	t := &RF{geom: g, timing: DefaultTiming, walker: walker, rng: newRNG(seed), LazyFillWindow: 8}
-	t.sets, t.backing = newSets(g)
-	return t, nil
+	return &RF{array: newArray(g), timing: DefaultTiming, walker: walker, rng: newRNG(seed), LazyFillWindow: 8}, nil
 }
 
 // SetTiming overrides the lookup latency parameters.
@@ -122,17 +117,6 @@ func (t *RF) secure(asid ASID, vpn VPN) bool {
 		vpn >= t.sbase && uint64(vpn-t.sbase) < t.ssize
 }
 
-func (t *RF) find(s int, asid ASID, vpn VPN) int {
-	set := t.sets[s]
-	for w := range set {
-		e := &set[w]
-		if e.valid && e.vpn == vpn && e.asid == asid {
-			return w
-		}
-	}
-	return -1
-}
-
 // randomSecureVPN draws D' uniformly from the secure region (Sec_D = 1
 // case). With an empty region the draw fails with ErrEmptyDraw.
 func (t *RF) randomSecureVPN() (VPN, error) {
@@ -170,10 +154,11 @@ func (t *RF) fill(asid ASID, vpn VPN, ppn PPN, sec bool, res *Result) {
 	s := t.geom.setIndex(vpn)
 	// If the translation is already present (D' may collide with a cached
 	// entry), just refresh its LRU position.
-	hit, victim := findOrVictim(t.sets[s], asid, vpn)
+	hit, victim := t.lookup(s, asid, vpn)
 	if hit >= 0 {
-		t.sets[s][hit].stamp = t.clock
-		t.sets[s][hit].sec = sec
+		e := &t.sets[s][hit]
+		t.touch(e, s, hit, t.clock)
+		e.sec = sec
 		return
 	}
 	if t.hook != nil && t.hook.OnFill != nil {
@@ -197,7 +182,7 @@ func (t *RF) fillWay(s, w int, asid ASID, vpn VPN, ppn PPN, sec bool, res *Resul
 		res.Evicted, res.EvictedVPN, res.EvictedASID = true, e.vpn, e.asid
 		t.stats.Evictions++
 	}
-	*e = entry{valid: true, asid: asid, vpn: vpn, ppn: ppn, sec: sec, stamp: t.clock}
+	t.install(e, s, w, entry{valid: true, asid: asid, vpn: vpn, ppn: ppn, sec: sec, stamp: t.clock})
 }
 
 // fillWayHooked is the fill path with an OnFill fault hook armed.
@@ -212,10 +197,10 @@ func (t *RF) fillWayHooked(s, w int, asid ASID, vpn VPN, ppn PPN, sec bool, res 
 		res.Evicted, res.EvictedVPN, res.EvictedASID = true, e.vpn, e.asid
 		t.stats.Evictions++
 	}
-	*e = entry{valid: true, asid: asid, vpn: vpn, ppn: ppn, sec: sec, stamp: t.clock}
+	t.install(e, s, w, entry{valid: true, asid: asid, vpn: vpn, ppn: ppn, sec: sec, stamp: t.clock})
 	if action == FillDuplicate {
 		if w2 := (w + 1) % len(t.sets[s]); w2 != w {
-			t.sets[s][w2] = *e
+			t.install(&t.sets[s][w2], s, w2, *e)
 		}
 	}
 }
@@ -250,11 +235,17 @@ func (t *RF) translate(asid ASID, vpn VPN, res *Result) error {
 	t.stats.Lookups++
 	s := t.geom.setIndex(vpn)
 	t.clock++
-	hit, rWay := findOrVictim(t.sets[s], asid, vpn)
+	// array.lookup, written out so a narrow set's scan inlines here.
+	var hit, rWay int
+	if t.scan {
+		hit, rWay = scanSet(t.sets[s], asid, vpn)
+	} else {
+		hit, rWay = t.lookupIndexed(s, asid, vpn, 0, t.geom.ways)
+	}
 	if hit >= 0 {
 		e := &t.sets[s][hit]
 		if t.hook.touchAllowed(s, hit) {
-			e.stamp = t.clock
+			t.touch(e, s, hit, t.clock)
 		}
 		t.stats.Hits++
 		res.PPN, res.Hit, res.Cycles = e.ppn, true, t.timing.HitCycles
@@ -370,7 +361,7 @@ func (t *RF) PredictRandomFill(g *RNG, asid ASID, vpn VPN) (VPN, bool, error) {
 		return 0, false, nil
 	}
 	secD := t.secure(asid, vpn)
-	rWay := lruWay(t.sets[s])
+	rWay := t.lruWay(s)
 	secR := t.sets[s][rWay].valid && t.sets[s][rWay].sec
 	if !secD && !secR {
 		return 0, false, nil
@@ -397,21 +388,13 @@ func (t *RF) PredictRandomFill(g *RNG, asid ASID, vpn VPN) (VPN, bool, error) {
 
 // FlushAll implements TLB.
 func (t *RF) FlushAll() {
-	// The sets share one contiguous backing array (see the constructor),
-	// so the whole TLB clears with a single memclr.
-	clear(t.backing)
+	t.clearAll()
 	t.stats.Flushes++
 }
 
 // FlushASID implements TLB.
 func (t *RF) FlushASID(asid ASID) {
-	for s := range t.sets {
-		for w := range t.sets[s] {
-			if t.sets[s][w].valid && t.sets[s][w].asid == asid {
-				t.sets[s][w] = entry{}
-			}
-		}
-	}
+	t.flushASID(asid)
 	t.stats.Flushes++
 }
 
@@ -420,7 +403,7 @@ func (t *RF) FlushPage(asid ASID, vpn VPN) bool {
 	s := t.geom.setIndex(vpn)
 	t.stats.Flushes++
 	if w := t.find(s, asid, vpn); w >= 0 {
-		t.sets[s][w] = entry{}
+		t.invalidate(s, w)
 		return true
 	}
 	return false
@@ -431,15 +414,6 @@ func (t *RF) FlushPage(asid ASID, vpn VPN) bool {
 // like any other, which is why the Random-Fill design does not by itself
 // defend the targeted-invalidation attacks of Appendix B.
 func (t *RF) FlushPageAllASIDs(vpn VPN) bool {
-	s := t.geom.setIndex(vpn)
 	t.stats.Flushes++
-	any := false
-	for w := range t.sets[s] {
-		e := &t.sets[s][w]
-		if e.valid && e.vpn == vpn {
-			*e = entry{}
-			any = true
-		}
-	}
-	return any
+	return t.flushPageAllASIDs(t.geom.setIndex(vpn), vpn)
 }

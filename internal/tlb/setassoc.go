@@ -11,14 +11,11 @@ import "fmt"
 // A fully-associative TLB ("FA TLB") is a SetAssoc with ways == entries; the
 // paper's TLB-disabled approximation ("1E") is a SetAssoc with one entry.
 type SetAssoc struct {
-	geom   geometry
+	array
 	timing Timing
 	walker Walker
-	sets   [][]entry
-	backing []entry // contiguous storage behind sets, cleared whole on FlushAll
 	clock  uint64
 	stats  Stats
-	hook   *FaultHook
 }
 
 var _ TLB = (*SetAssoc)(nil)
@@ -33,9 +30,7 @@ func NewSetAssoc(entries, ways int, walker Walker) (*SetAssoc, error) {
 	if walker == nil {
 		return nil, fmt.Errorf("tlb: walker must not be nil")
 	}
-	t := &SetAssoc{geom: g, timing: DefaultTiming, walker: walker}
-	t.sets, t.backing = newSets(g)
-	return t, nil
+	return &SetAssoc{array: newArray(g), timing: DefaultTiming, walker: walker}, nil
 }
 
 // NewFullyAssoc returns an FA TLB: a single set spanning all entries.
@@ -70,97 +65,6 @@ func (t *SetAssoc) MissHitCounts() (uint64, uint64) { return t.stats.Misses, t.s
 // ResetStats implements TLB.
 func (t *SetAssoc) ResetStats() { t.stats = Stats{} }
 
-// find returns the way index holding (asid, vpn) in set s, or -1.
-func (t *SetAssoc) find(s int, asid ASID, vpn VPN) int {
-	set := t.sets[s]
-	for w := range set {
-		e := &set[w]
-		if e.valid && e.vpn == vpn && e.asid == asid {
-			return w
-		}
-	}
-	return -1
-}
-
-// newSets allocates a set array over one contiguous backing slice; FlushAll
-// clears the backing in a single memclr.
-func newSets(g geometry) ([][]entry, []entry) {
-	sets := make([][]entry, g.sets)
-	backing := make([]entry, g.entries)
-	rest := backing
-	for i := range sets {
-		sets[i], rest = rest[:g.ways], rest[g.ways:]
-	}
-	return sets, backing
-}
-
-// findOrVictim scans set once, returning the way holding (asid, vpn) — with
-// victim == -1 — or hit == -1 together with the fill victim lruWay would
-// choose: the first invalid way, else the least recently used. A miss
-// previously scanned the set twice (lookup, then victim selection); lookups
-// are the simulator's innermost loop, so the fused scan matters.
-func findOrVictim(set []entry, asid ASID, vpn VPN) (hit, victim int) {
-	inv := -1
-	oldest := ^uint64(0)
-	for w := range set {
-		e := &set[w]
-		if e.valid {
-			if e.vpn == vpn && e.asid == asid {
-				return w, -1
-			}
-			if e.stamp < oldest {
-				victim, oldest = w, e.stamp
-			}
-		} else if inv < 0 {
-			inv = w
-		}
-	}
-	if inv >= 0 {
-		return -1, inv
-	}
-	return -1, victim
-}
-
-// findOrVictimIn is findOrVictim with the victim confined to ways [lo, hi):
-// the SP TLB hits on every way but fills within the requester's partition.
-func findOrVictimIn(set []entry, asid ASID, vpn VPN, lo, hi int) (hit, victim int) {
-	inv := -1
-	oldest := ^uint64(0)
-	victim = lo
-	for w := range set {
-		e := &set[w]
-		if e.valid {
-			if e.vpn == vpn && e.asid == asid {
-				return w, -1
-			}
-			if lo <= w && w < hi && e.stamp < oldest {
-				victim, oldest = w, e.stamp
-			}
-		} else if inv < 0 && lo <= w && w < hi {
-			inv = w
-		}
-	}
-	if inv >= 0 {
-		return -1, inv
-	}
-	return -1, victim
-}
-
-// lruWay returns the fill target in set s: an invalid way if one exists,
-// otherwise the least-recently-used way.
-func lruWay(set []entry) int {
-	victim, oldest := 0, ^uint64(0)
-	for w := range set {
-		if !set[w].valid {
-			return w
-		}
-		if set[w].stamp < oldest {
-			victim, oldest = w, set[w].stamp
-		}
-	}
-	return victim
-}
-
 // Translate implements TLB.
 func (t *SetAssoc) Translate(asid ASID, vpn VPN) (Result, error) {
 	var res Result
@@ -180,11 +84,17 @@ func (t *SetAssoc) translate(asid ASID, vpn VPN, res *Result) error {
 	t.stats.Lookups++
 	s := t.geom.setIndex(vpn)
 	t.clock++
-	hit, victim := findOrVictim(t.sets[s], asid, vpn)
+	// array.lookup, written out so a narrow set's scan inlines here.
+	var hit, victim int
+	if t.scan {
+		hit, victim = scanSet(t.sets[s], asid, vpn)
+	} else {
+		hit, victim = t.lookupIndexed(s, asid, vpn, 0, t.geom.ways)
+	}
 	if hit >= 0 {
 		e := &t.sets[s][hit]
 		if t.hook.touchAllowed(s, hit) {
-			e.stamp = t.clock
+			t.touch(e, s, hit, t.clock)
 		}
 		t.stats.Hits++
 		res.PPN, res.Hit, res.Cycles = e.ppn, true, t.timing.HitCycles
@@ -211,11 +121,11 @@ func (t *SetAssoc) translate(asid ASID, vpn VPN, res *Result) error {
 		res.Evicted, res.EvictedVPN, res.EvictedASID = true, e.vpn, e.asid
 		t.stats.Evictions++
 	}
-	*e = entry{valid: true, asid: asid, vpn: vpn, ppn: ppn, stamp: t.clock}
+	t.install(e, s, w, entry{valid: true, asid: asid, vpn: vpn, ppn: ppn, stamp: t.clock})
 	t.stats.Fills++
 	if action == FillDuplicate {
 		if w2 := (w + 1) % len(t.sets[s]); w2 != w {
-			t.sets[s][w2] = *e
+			t.install(&t.sets[s][w2], s, w2, *e)
 		}
 	}
 	return nil
@@ -228,21 +138,13 @@ func (t *SetAssoc) Probe(asid ASID, vpn VPN) bool {
 
 // FlushAll implements TLB.
 func (t *SetAssoc) FlushAll() {
-	// The sets share one contiguous backing array (see the constructor),
-	// so the whole TLB clears with a single memclr.
-	clear(t.backing)
+	t.clearAll()
 	t.stats.Flushes++
 }
 
 // FlushASID implements TLB.
 func (t *SetAssoc) FlushASID(asid ASID) {
-	for s := range t.sets {
-		for w := range t.sets[s] {
-			if t.sets[s][w].valid && t.sets[s][w].asid == asid {
-				t.sets[s][w] = entry{}
-			}
-		}
-	}
+	t.flushASID(asid)
 	t.stats.Flushes++
 }
 
@@ -251,7 +153,7 @@ func (t *SetAssoc) FlushPage(asid ASID, vpn VPN) bool {
 	s := t.geom.setIndex(vpn)
 	t.stats.Flushes++
 	if w := t.find(s, asid, vpn); w >= 0 {
-		t.sets[s][w] = entry{}
+		t.invalidate(s, w)
 		return true
 	}
 	return false
@@ -272,15 +174,6 @@ func (t *SetAssoc) validCount() int {
 
 // FlushPageAllASIDs implements TLB.
 func (t *SetAssoc) FlushPageAllASIDs(vpn VPN) bool {
-	s := t.geom.setIndex(vpn)
 	t.stats.Flushes++
-	any := false
-	for w := range t.sets[s] {
-		e := &t.sets[s][w]
-		if e.valid && e.vpn == vpn {
-			*e = entry{}
-			any = true
-		}
-	}
-	return any
+	return t.flushPageAllASIDs(t.geom.setIndex(vpn), vpn)
 }

@@ -16,17 +16,14 @@ import "fmt"
 // isolation is what defends the four external miss-based (EM) vulnerability
 // types beyond what the SA TLB defends (paper Table 4).
 type SP struct {
-	geom       geometry
+	array
 	victimWays int
 	timing     Timing
 	walker     Walker
-	sets       [][]entry
-	backing    []entry // contiguous storage behind sets, cleared whole on FlushAll
 	clock      uint64
 	stats      Stats
 	victim     ASID
 	hasVictim  bool
-	hook       *FaultHook
 	// sbase/ssize are accepted for SecureTLB compatibility; the SP design
 	// does not use the secure region, only the victim process ID.
 	sbase VPN
@@ -49,8 +46,8 @@ func NewSP(entries, ways, victimWays int, walker Walker) (*SP, error) {
 	if victimWays <= 0 || victimWays >= ways {
 		return nil, fmt.Errorf("tlb: SP victimWays must be in (0,%d), got %d", ways, victimWays)
 	}
-	t := &SP{geom: g, victimWays: victimWays, timing: DefaultTiming, walker: walker}
-	t.sets, t.backing = newSets(g)
+	t := &SP{array: newArray(g), victimWays: victimWays, timing: DefaultTiming, walker: walker}
+	t.setSplit(victimWays)
 	return t, nil
 }
 
@@ -80,22 +77,17 @@ func (t *SP) SetVictimWays(n int) error {
 		return fmt.Errorf("tlb: SP victimWays must be in (0,%d), got %d", t.geom.ways, n)
 	}
 	t.victimWays = n
-	if !t.hasVictim {
-		return nil
-	}
-	for s := range t.sets {
-		for w := range t.sets[s] {
-			e := &t.sets[s][w]
-			if !e.valid {
-				continue
-			}
-			isVictim := e.asid == t.victim
-			inVictimWays := w < t.victimWays
-			if isVictim != inVictimWays {
-				*e = entry{}
+	if t.hasVictim {
+		for s := range t.sets {
+			for w := range t.sets[s] {
+				e := &t.sets[s][w]
+				if e.valid && (e.asid == t.victim) != (w < t.victimWays) {
+					t.invalidate(s, w)
+				}
 			}
 		}
 	}
+	t.setSplit(n)
 	return nil
 }
 
@@ -140,17 +132,6 @@ func (t *SP) partition(asid ASID) (lo, hi int) {
 	return t.victimWays, t.geom.ways
 }
 
-func (t *SP) find(s int, asid ASID, vpn VPN) int {
-	set := t.sets[s]
-	for w := range set {
-		e := &set[w]
-		if e.valid && e.vpn == vpn && e.asid == asid {
-			return w
-		}
-	}
-	return -1
-}
-
 // Translate implements TLB. Hits search all ways (identical to SA); fills
 // choose the LRU way within the requester's partition only (Figure 1).
 func (t *SP) Translate(asid ASID, vpn VPN) (Result, error) {
@@ -172,11 +153,17 @@ func (t *SP) translate(asid ASID, vpn VPN, res *Result) error {
 	s := t.geom.setIndex(vpn)
 	t.clock++
 	lo, hi := t.partition(asid)
-	hit, victim := findOrVictimIn(t.sets[s], asid, vpn, lo, hi)
+	// array.lookupIn, written out so a narrow set's scan costs no call.
+	var hit, victim int
+	if t.scan {
+		hit, victim = scanSetIn(t.sets[s], asid, vpn, lo, hi)
+	} else {
+		hit, victim = t.lookupIndexed(s, asid, vpn, lo, hi)
+	}
 	if hit >= 0 {
 		e := &t.sets[s][hit]
 		if t.hook.touchAllowed(s, hit) {
-			e.stamp = t.clock
+			t.touch(e, s, hit, t.clock)
 		}
 		t.stats.Hits++
 		res.PPN, res.Hit, res.Cycles = e.ppn, true, t.timing.HitCycles
@@ -203,13 +190,13 @@ func (t *SP) translate(asid ASID, vpn VPN, res *Result) error {
 		res.Evicted, res.EvictedVPN, res.EvictedASID = true, e.vpn, e.asid
 		t.stats.Evictions++
 	}
-	*e = entry{valid: true, asid: asid, vpn: vpn, ppn: ppn, stamp: t.clock}
+	t.install(e, s, w, entry{valid: true, asid: asid, vpn: vpn, ppn: ppn, stamp: t.clock})
 	t.stats.Fills++
 	if action == FillDuplicate {
 		// The duplicate stays inside the requester's partition: the decoder
 		// fault asserts a second way-enable of the same partition.
 		if w2 := lo + (w-lo+1)%(hi-lo); w2 != w {
-			t.sets[s][w2] = *e
+			t.install(&t.sets[s][w2], s, w2, *e)
 		}
 	}
 	return nil
@@ -222,21 +209,13 @@ func (t *SP) Probe(asid ASID, vpn VPN) bool {
 
 // FlushAll implements TLB.
 func (t *SP) FlushAll() {
-	// The sets share one contiguous backing array (see the constructor),
-	// so the whole TLB clears with a single memclr.
-	clear(t.backing)
+	t.clearAll()
 	t.stats.Flushes++
 }
 
 // FlushASID implements TLB.
 func (t *SP) FlushASID(asid ASID) {
-	for s := range t.sets {
-		for w := range t.sets[s] {
-			if t.sets[s][w].valid && t.sets[s][w].asid == asid {
-				t.sets[s][w] = entry{}
-			}
-		}
-	}
+	t.flushASID(asid)
 	t.stats.Flushes++
 }
 
@@ -245,7 +224,7 @@ func (t *SP) FlushPage(asid ASID, vpn VPN) bool {
 	s := t.geom.setIndex(vpn)
 	t.stats.Flushes++
 	if w := t.find(s, asid, vpn); w >= 0 {
-		t.sets[s][w] = entry{}
+		t.invalidate(s, w)
 		return true
 	}
 	return false
@@ -255,15 +234,6 @@ func (t *SP) FlushPage(asid ASID, vpn VPN) bool {
 // it crosses the partition boundary: both the victim's and the attacker's
 // entries for the page are removed.
 func (t *SP) FlushPageAllASIDs(vpn VPN) bool {
-	s := t.geom.setIndex(vpn)
 	t.stats.Flushes++
-	any := false
-	for w := range t.sets[s] {
-		e := &t.sets[s][w]
-		if e.valid && e.vpn == vpn {
-			*e = entry{}
-			any = true
-		}
-	}
-	return any
+	return t.flushPageAllASIDs(t.geom.setIndex(vpn), vpn)
 }

@@ -200,8 +200,8 @@ var DefaultTiming = Timing{HitCycles: 1}
 
 // entry is one TLB block (slot) as described in paper Table 1. Field order
 // packs the struct into 32 bytes so an 8-way set scan touches four cache
-// lines instead of five — lookups scan sets on every access, so the layout
-// is hot.
+// lines instead of five — lookups scan narrow sets on every access (see
+// array), so the layout is hot.
 type entry struct {
 	vpn   VPN
 	ppn   PPN
