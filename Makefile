@@ -13,8 +13,10 @@ CHAOS_DATA ?=
 build:
 	$(GO) build ./...
 
+# vet also requires gofmt-clean sources, listing any file that is not.
 vet:
 	$(GO) vet ./...
+	@test -z "$$(gofmt -l .)" || { gofmt -l .; echo "gofmt: the files above are not formatted"; exit 1; }
 
 # Static analysis beyond vet. The tool is not vendored, so the target
 # no-ops with a notice when it is absent (CI installs it; locally:
@@ -46,7 +48,7 @@ race:
 # lookup, so it runs a million of them per count: at the campaigns' 20
 # iterations it would time a cold array.
 bench:
-	$(GO) test -run xxx -bench 'RunVulnerability|RunAll(Serial|Parallel)' -benchtime 2x .
+	$(GO) test -run xxx -bench 'RunCampaign(Vuln)?(Serial|Parallel)' -benchtime 2x .
 	$(GO) test -run xxx -bench Clone ./internal/mem/ ./internal/cpu/
 	{ $(GO) test -run xxx -bench 'Table4SecurityEval(RF|RI|FS)|Campaign(TraceReplay|FullExec)|Figure7(TraceReplay|FullExec)' \
 		-benchmem -benchtime 20x -count 5 . && \

@@ -9,6 +9,7 @@
 package securetlb
 
 import (
+	"context"
 	"fmt"
 	"math/big"
 	"testing"
@@ -60,19 +61,33 @@ func BenchmarkAlgorithm1Reduction(b *testing.B) {
 
 // --- Table 4: micro security benchmarks --------------------------------------
 
+// runCampaign runs cfg's campaign over vulns through secbench.RunCampaign,
+// the runner cmd/secbench and tlbserved use, on a pool of parallelism
+// workers. A quarantined trial fails the benchmark: a timed campaign must
+// have run every trial.
+func runCampaign(b *testing.B, cfg secbench.Config, vulns []model.Vulnerability, parallelism int) []secbench.Result {
+	b.Helper()
+	rep, err := cfg.RunCampaign(context.Background(), vulns, secbench.RunOptions{Parallelism: parallelism})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if n := len(rep.Quarantined); n != 0 {
+		b.Fatalf("%d trials quarantined, first %+v", n, rep.Quarantined[0])
+	}
+	return rep.Results
+}
+
 func benchTable4(b *testing.B, d secbench.Design, trials, wantDefended int, disableTrace bool) {
 	cfg := secbench.DefaultConfig(d)
 	// Scaled down; cmd/secbench runs the paper's 500 trials. The randomised
 	// RF design needs more trials than the deterministic SA/SP to keep the
-	// empirical capacity below the defended threshold.
+	// empirical capacity below the defended threshold. The campaign runs on
+	// one worker, so the row times the trial loop, not scheduling.
 	cfg.Trials = trials
 	cfg.DisableTrace = disableTrace
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		results, err := cfg.RunAll()
-		if err != nil {
-			b.Fatal(err)
-		}
+		results := runCampaign(b, cfg, model.Enumerate(), 1)
 		if n := secbench.DefendedCount(results); n != wantDefended {
 			b.Fatalf("defended %d, want %d", n, wantDefended)
 		}
@@ -115,8 +130,9 @@ func BenchmarkTable4SecurityEvalFSFullExec(b *testing.B) {
 // campaign (the full Table 4 sweep cmd/secbench runs: all 24 vulnerabilities
 // against the SA, SP and RF designs at 120 trials/behaviour): identical work
 // and identical results, differing only in whether trials replay captured
-// traces or decode and execute every instruction. The defended counts are
-// the Table 4 bottom line (10 + 14 + 24).
+// traces or decode and execute every instruction. Like the Table 4 rows it
+// runs on one worker. The defended counts are the Table 4 bottom line
+// (10 + 14 + 24).
 func benchCampaign(b *testing.B, disableTrace bool) {
 	designs := []secbench.Design{secbench.DesignSA, secbench.DesignSP, secbench.DesignRF}
 	b.ResetTimer()
@@ -126,11 +142,7 @@ func benchCampaign(b *testing.B, disableTrace bool) {
 			cfg := secbench.DefaultConfig(d)
 			cfg.Trials = 120
 			cfg.DisableTrace = disableTrace
-			results, err := cfg.RunAll()
-			if err != nil {
-				b.Fatal(err)
-			}
-			defended += secbench.DefendedCount(results)
+			defended += secbench.DefendedCount(runCampaign(b, cfg, model.Enumerate(), 1))
 		}
 		if defended != 10+14+24 {
 			b.Fatalf("defended %d, want %d", defended, 10+14+24)
@@ -447,54 +459,36 @@ func BenchmarkAblationCoalescedSPReach(b *testing.B) {
 
 // --- Trial-sharded parallel runner --------------------------------------------
 
-// The Serial/Parallel pairs below measure the campaign engine both ways on
-// identical configurations; compare them with benchstat (or by eye) to see
-// the trial-sharding speedup on this machine. The RF design is the
-// interesting one: its randomised trials dominate the full sweep's runtime.
+// The Serial/Parallel pairs below measure the campaign runner on one worker
+// and on all CPUs over identical configurations; compare them with
+// benchstat (or by eye) to see the trial-sharding speedup on this machine.
+// The RF design is the interesting one: its randomised trials dominate the
+// full sweep's runtime.
 
-func benchRunVulnerability(b *testing.B, parallel bool) {
+func benchRunCampaignVuln(b *testing.B, parallelism int) {
 	cfg := secbench.DefaultConfig(secbench.DesignRF)
 	cfg.Trials = 250
-	v := model.Enumerate()[11]
+	vulns := model.Enumerate()[11:12]
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		var err error
-		if parallel {
-			_, err = cfg.RunVulnerabilityParallel(v, 0)
-		} else {
-			_, err = cfg.RunVulnerability(v)
-		}
-		if err != nil {
-			b.Fatal(err)
-		}
+		runCampaign(b, cfg, vulns, parallelism)
 	}
 }
 
-func BenchmarkRunVulnerabilitySerial(b *testing.B)   { benchRunVulnerability(b, false) }
-func BenchmarkRunVulnerabilityParallel(b *testing.B) { benchRunVulnerability(b, true) }
+func BenchmarkRunCampaignVulnSerial(b *testing.B)   { benchRunCampaignVuln(b, 1) }
+func BenchmarkRunCampaignVulnParallel(b *testing.B) { benchRunCampaignVuln(b, 0) }
 
-func benchRunAll(b *testing.B, parallel bool) {
+func benchRunCampaign(b *testing.B, parallelism int) {
 	cfg := secbench.DefaultConfig(secbench.DesignRF)
 	cfg.Trials = 120
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		var (
-			results []secbench.Result
-			err     error
-		)
-		if parallel {
-			results, err = cfg.RunAllParallel(0)
-		} else {
-			results, err = cfg.RunAll()
-		}
-		if err != nil {
-			b.Fatal(err)
-		}
+		results := runCampaign(b, cfg, model.Enumerate(), parallelism)
 		if n := secbench.DefendedCount(results); n != 24 {
 			b.Fatalf("defended %d, want 24", n)
 		}
 	}
 }
 
-func BenchmarkRunAllSerial(b *testing.B)   { benchRunAll(b, false) }
-func BenchmarkRunAllParallel(b *testing.B) { benchRunAll(b, true) }
+func BenchmarkRunCampaignSerial(b *testing.B)   { benchRunCampaign(b, 1) }
+func BenchmarkRunCampaignParallel(b *testing.B) { benchRunCampaign(b, 0) }

@@ -123,10 +123,10 @@ func (c Config) RunFaultCell(v model.Vulnerability, mapped bool, site faultinjec
 		trials = c.Trials
 	}
 	cell := FaultCell{
-		Site:     site,
-		Design:   c.Design.String(),
-		Vuln:     v.String(),
-		Mapped:   mapped,
+		Site:       site,
+		Design:     c.Design.String(),
+		Vuln:       v.String(),
+		Mapped:     mapped,
 		Trials:     trials,
 		Detected:   map[string]int{},
 		Assertions: map[string]int{},
@@ -142,7 +142,7 @@ func (c Config) RunFaultCell(v model.Vulnerability, mapped bool, site faultinjec
 	}
 	ref := make([]bool, trials)
 	for trial := 0; trial < trials; trial++ {
-		miss, err := cp.runTrial(clean.trialSeed(trial, mapped), clean.fuel())
+		miss, err := cp.runTrial(clean.trialSeed(trial, mapped), clean.fuel(), nil)
 		if err != nil {
 			return cell, fmt.Errorf("clean reference trial %d: %w", trial, err)
 		}
@@ -164,7 +164,7 @@ func (c Config) RunFaultCell(v model.Vulnerability, mapped bool, site faultinjec
 		var miss bool
 		err := pool.Safely(func() error {
 			var terr error
-			miss, terr = fp.runTrial(faulted.trialSeed(trial, mapped), faulted.fuel())
+			miss, terr = fp.runTrial(faulted.trialSeed(trial, mapped), faulted.fuel(), nil)
 			return terr
 		})
 		inj.Disarm()

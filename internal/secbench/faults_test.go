@@ -170,7 +170,7 @@ func TestCampaignWithFaultsQuarantines(t *testing.T) {
 		}
 		misses := 0
 		for trial := 0; trial < cfg.Trials; trial++ {
-			miss, err := cp.runTrial(clean.trialSeed(trial, mapped), clean.fuel())
+			miss, err := cp.runTrial(clean.trialSeed(trial, mapped), clean.fuel(), nil)
 			if err != nil {
 				t.Fatalf("clean trial %d: %v", trial, err)
 			}
@@ -198,14 +198,8 @@ func TestInvariantsCleanCampaign(t *testing.T) {
 		cfg.Trials = 24
 		checked := cfg
 		checked.Invariants = true
-		base, err := cfg.RunVulnerability(v)
-		if err != nil {
-			t.Fatalf("%s unchecked: %v", d, err)
-		}
-		got, err := checked.RunVulnerability(v)
-		if err != nil {
-			t.Fatalf("%s checked: %v", d, err)
-		}
+		base := runCleanOne(t, cfg, v, 1)
+		got := runCleanOne(t, checked, v, 1)
 		if base.Counts != got.Counts {
 			t.Errorf("%s: invariant checking changed the statistics: %+v vs %+v", d, base.Counts, got.Counts)
 		}
@@ -276,10 +270,7 @@ func TestInvariantsDisableTraceBitIdentity(t *testing.T) {
 				cfg.Trials = 12
 				cfg.Invariants = inv
 				cfg.DisableTrace = noTrace
-				res, err := cfg.RunVulnerability(v)
-				if err != nil {
-					t.Fatalf("%s inv=%v noTrace=%v: %v", d, inv, noTrace, err)
-				}
+				res := runCleanOne(t, cfg, v, 1)
 				if ref == nil {
 					r := res
 					ref = &r

@@ -19,10 +19,10 @@ import (
 	"fmt"
 	"sync"
 
+	"securetlb/internal/assert"
 	"securetlb/internal/checkpoint"
 	"securetlb/internal/cpu"
 	"securetlb/internal/faultinject"
-	"securetlb/internal/assert"
 	"securetlb/internal/model"
 	"securetlb/internal/pool"
 )
@@ -113,41 +113,74 @@ func (c Config) Fingerprint(extended bool) string {
 		c.Params, c.MemLatency, c.fuel(), extended, c.Invariants, c.FaultSite, c.FaultSeed)
 }
 
+// ctxStride is how many trials a shard runs between context checks. A trial
+// takes about a microsecond, so cancellation still lands within a fraction
+// of a millisecond, while the check (a mutex on a shared cancelCtx, ~6% of a
+// serving daemon's CPU when made per trial) stops being a per-trial cost.
+const ctxStride = 64
+
 // runTrialsResilient executes trials [lo, hi) of one behaviour, quarantining
 // per-trial failures and counting misses and survivors. It returns early
 // with the context error on cancellation (the partial unit is discarded by
 // the caller) and with the original error on infrastructure failure.
+//
+// On a clean config (no Inject hook, no FaultSite) a replay campaign replays
+// a shard's first trial whole and every later one through RunBody, from the
+// trace's trial-invariant prefix. A trial that fails there is replayed
+// whole, so its quarantine record is exactly the one per-trial execution
+// gives. After a failed trial the next one replays whole too.
 func (c Config) runTrialsResilient(ctx context.Context, cp *campaign, v model.Vulnerability, mapped bool, lo, hi int) (unitCounts, error) {
 	var u unitCounts
+	// Trial-invariant values hoisted out of the loop: Config methods copy the
+	// whole Config per call, which showed up as runtime.duffcopy in campaign
+	// profiles.
+	fuel, base, site, inject := c.fuel(), c.BaseSeed, c.FaultSite, c.Inject
+	prefix := cp.prefix
+	if site != "" || inject != nil {
+		// A per-trial budget or an armed fault must meet every op of the trial.
+		prefix = nil
+	}
+	ran := false // the VM's last trial completed, which RunBody requires
 	for trial := lo; trial < hi; trial++ {
-		if err := ctx.Err(); err != nil {
-			return u, err
+		if (trial-lo)%ctxStride == 0 {
+			if err := ctx.Err(); err != nil {
+				return u, err
+			}
 		}
-		seed := c.trialSeed(trial, mapped)
-		trial := trial
+		seed := trialSeedFor(base, trial, mapped)
 		// Arm the configured hardware-fault site on this trial's machine,
 		// underneath any invariant checker (the detector must observe the
 		// fault, not intercept its injection). An arming failure is an
 		// infrastructure error: the campaign was misconfigured, not the trial.
 		var inj *faultinject.Injector
-		if c.FaultSite != "" {
-			inj = faultinject.New(c.FaultSite, c.faultSeed(trial, mapped))
+		if site != "" {
+			inj = faultinject.New(site, c.faultSeed(trial, mapped))
 			if aerr := inj.Arm(assert.Unwrap(cp.machine.TLB), cp.machine.PT, cp.machine.Mem); aerr != nil {
 				return u, fmt.Errorf("%s (mapped=%v, trial %d): %w", v, mapped, trial, aerr)
 			}
 		}
+		body := prefix
+		if !ran {
+			body = nil
+		}
 		var miss bool
-		err := pool.Safely(func() error {
-			fuel := c.fuel()
-			if c.Inject != nil {
-				if f := c.Inject(v, mapped, trial); f != 0 {
-					fuel = f
+		run := func() error {
+			tfuel := fuel
+			if inject != nil {
+				if f := inject(v, mapped, trial); f != 0 {
+					tfuel = f
 				}
 			}
 			var terr error
-			miss, terr = cp.runTrial(seed, fuel)
+			miss, terr = cp.runTrial(seed, tfuel, body)
 			return terr
-		})
+		}
+		err := pool.Safely(run)
+		if err != nil && body != nil {
+			body = nil
+			err = pool.Safely(run)
+		}
+		ran = err == nil
 		if inj != nil {
 			inj.Disarm()
 		}
@@ -177,14 +210,19 @@ func (c Config) runTrialsResilient(ctx context.Context, cp *campaign, v model.Vu
 	return u, nil
 }
 
-// runUnit executes one (vulnerability, behaviour) unit trial-sharded over p,
-// exactly like runVulnerabilitySharded but resilient: per-trial failures
-// land in the unit's quarantine list instead of aborting, and cancellation
-// stops admitting shards and drains the started ones.
+// runUnit executes one (vulnerability, behaviour) unit trial-sharded over p:
+// per-trial failures land in the unit's quarantine list instead of aborting,
+// and cancellation stops admitting shards and drains the started ones. The
+// per-trial seed contract (trialSeed) makes the shard split invisible in the
+// results: each shard's counts depend only on its trial indices, and integer
+// summation is order-independent.
 func (c Config) runUnit(ctx context.Context, p *pool.Pool, v model.Vulnerability, mapped bool) (unitCounts, error) {
 	var unit unitCounts
 	var template *campaign
 	var err error
+	// Build the template under a worker slot: assembly and page-table setup
+	// is real work, and gating it keeps a whole campaign's concurrency at
+	// exactly the pool bound.
 	if rerr := p.RunCtx(ctx, func() { template, err = c.newCampaign(v, mapped) }); rerr != nil {
 		return unit, rerr
 	}
@@ -192,6 +230,9 @@ func (c Config) runUnit(ctx context.Context, p *pool.Pool, v model.Vulnerability
 		return unit, err
 	}
 	shards := pool.Shards(c.Trials, p.Size())
+	// The template machine runs the first shard itself; clones (taken
+	// sequentially — Clone mutates the source's copy-on-write state) serve
+	// the rest.
 	camps := make([]*campaign, len(shards))
 	for i := range shards {
 		if i == 0 {
@@ -240,7 +281,12 @@ func (c Config) runVulnerabilityResilient(ctx context.Context, p *pool.Pool, v m
 	res := Result{Vulnerability: v}
 	var quarantined []Quarantined
 	for _, mapped := range []bool{true, false} {
-		key := c.unitKey(v, mapped)
+		// The key is a reflective Sprintf, a fifth of a 20-trial campaign's
+		// time, so it is built only when a checkpoint will use it.
+		var key string
+		if ck != nil {
+			key = c.unitKey(v, mapped)
+		}
 		var unit unitCounts
 		hit, err := ck.Lookup(key, &unit)
 		if err != nil {
@@ -344,13 +390,14 @@ func (c Config) RunCampaign(ctx context.Context, vulns []model.Vulnerability, op
 	return report, ctxErr
 }
 
-// RunAllCtx is the resilient form of RunAllParallel: the 24 base
-// vulnerabilities in Table 2 order.
+// RunAllCtx runs the campaign over the 24 base vulnerabilities, in Table 2
+// order.
 func (c Config) RunAllCtx(ctx context.Context, opts RunOptions) (CampaignReport, error) {
 	return c.RunCampaign(ctx, model.Enumerate(), opts)
 }
 
-// RunAllExtendedCtx is the resilient form of RunAllExtendedParallel.
+// RunAllExtendedCtx runs the campaign over the additional Appendix B
+// vulnerabilities (targeted invalidation and variable-timing flushes).
 func (c Config) RunAllExtendedCtx(ctx context.Context, opts RunOptions) (CampaignReport, error) {
 	return c.RunCampaign(ctx, model.EnumerateExtended(), opts)
 }
@@ -365,7 +412,7 @@ func (c Config) ReplayTrial(v model.Vulnerability, mapped bool, trial int) (miss
 	if err != nil {
 		return false, err
 	}
-	miss, err = camp.runTrial(c.trialSeed(trial, mapped), c.fuel())
+	miss, err = camp.runTrial(c.trialSeed(trial, mapped), c.fuel(), nil)
 	if err == nil {
 		camp.release()
 	}

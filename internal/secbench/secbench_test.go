@@ -1,7 +1,9 @@
 package secbench
 
 import (
+	"context"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -14,6 +16,27 @@ func testConfig(d Design, trials int) Config {
 	cfg := DefaultConfig(d)
 	cfg.Trials = trials
 	return cfg
+}
+
+// runClean runs cfg's campaign over vulns on parallelism workers (1 is the
+// serial reference) and fails the test on an error or on any quarantined
+// trial: a clean campaign must run every trial.
+func runClean(t testing.TB, cfg Config, vulns []model.Vulnerability, parallelism int) []Result {
+	t.Helper()
+	rep, err := cfg.RunCampaign(context.Background(), vulns, RunOptions{Parallelism: parallelism})
+	if err != nil {
+		t.Fatalf("%s: %v", cfg.Design, err)
+	}
+	if n := len(rep.Quarantined); n != 0 {
+		t.Fatalf("%s: %d trials quarantined, first %+v", cfg.Design, n, rep.Quarantined[0])
+	}
+	return rep.Results
+}
+
+// runCleanOne is runClean over one vulnerability.
+func runCleanOne(t testing.TB, cfg Config, v model.Vulnerability, parallelism int) Result {
+	t.Helper()
+	return runClean(t, cfg, []model.Vulnerability{v}, parallelism)[0]
 }
 
 func TestGenerateAssembles(t *testing.T) {
@@ -91,10 +114,7 @@ func TestSAMatchesDeterministicTheory(t *testing.T) {
 	// The SA TLB is deterministic: every trial gives the same outcome, and
 	// the empirical (p1*, p2*) must equal the oracle-derived theory exactly.
 	cfg := testConfig(DesignSA, 8)
-	results, err := cfg.RunAll()
-	if err != nil {
-		t.Fatal(err)
-	}
+	results := runClean(t, cfg, model.Enumerate(), 1)
 	if n := DefendedCount(results); n != 10 {
 		t.Errorf("SA defends %d, want 10", n)
 	}
@@ -112,10 +132,7 @@ func TestSAMatchesDeterministicTheory(t *testing.T) {
 
 func TestSPMatchesDeterministicTheory(t *testing.T) {
 	cfg := testConfig(DesignSP, 8)
-	results, err := cfg.RunAll()
-	if err != nil {
-		t.Fatal(err)
-	}
+	results := runClean(t, cfg, model.Enumerate(), 1)
 	if n := DefendedCount(results); n != 14 {
 		t.Errorf("SP defends %d, want 14", n)
 	}
@@ -133,10 +150,7 @@ func TestSPMatchesDeterministicTheory(t *testing.T) {
 
 func TestRFDefendsAll24(t *testing.T) {
 	cfg := testConfig(DesignRF, 250)
-	results, err := cfg.RunAll()
-	if err != nil {
-		t.Fatal(err)
-	}
+	results := runClean(t, cfg, model.Enumerate(), 1)
 	for _, r := range results {
 		if !r.Defended() {
 			t.Errorf("RF %s: C* = %.3f (p1=%.2f p2=%.2f), want ~0",
@@ -160,10 +174,7 @@ func TestRFAliasRowsNearTheory(t *testing.T) {
 	if !ok {
 		t.Fatal("alias IC row missing")
 	}
-	r, err := cfg.RunVulnerability(v)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := runCleanOne(t, cfg, v, 1)
 	want := 1 - 1.0/31
 	if math.Abs(r.P1-want) > 0.05 || math.Abs(r.P2-want) > 0.05 {
 		t.Errorf("alias IC: (p1,p2) = (%.3f,%.3f), want ≈ %.3f", r.P1, r.P2, want)
@@ -175,16 +186,13 @@ func TestRFTrialsAreSeedDependent(t *testing.T) {
 	// seeds identical counts — the campaign is reproducible.
 	v, _ := model.Find(model.Enumerate(), model.Pattern{model.Ad, model.Vu, model.Ad})
 	cfg := testConfig(DesignRF, 60)
-	a, err := cfg.RunVulnerability(v)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, _ := cfg.RunVulnerability(v)
+	a := runCleanOne(t, cfg, v, 1)
+	b := runCleanOne(t, cfg, v, 1)
 	if a.Counts != b.Counts {
 		t.Error("same seed must reproduce the same counts")
 	}
 	cfg.BaseSeed++
-	c, _ := cfg.RunVulnerability(v)
+	c := runCleanOne(t, cfg, v, 1)
 	if a.Counts == c.Counts {
 		t.Log("note: different seed produced identical counts (possible but unlikely)")
 	}
@@ -195,10 +203,7 @@ func TestFlushAndInvariantsAcrossTrials(t *testing.T) {
 	// identical results for the deterministic designs.
 	v, _ := model.Find(model.Enumerate(), model.Pattern{model.Vu, model.Aa, model.Vu})
 	cfg := testConfig(DesignSA, 5)
-	a, err := cfg.RunVulnerability(v)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := runCleanOne(t, cfg, v, 1)
 	if a.Counts.MappedMisses != 5 || a.Counts.NotMappedMisses != 0 {
 		t.Errorf("E+T SA counts = %+v, want deterministic 5/0", a.Counts)
 	}
@@ -272,19 +277,13 @@ func TestDesignString(t *testing.T) {
 func TestResultConfidenceIntervals(t *testing.T) {
 	cfg := testConfig(DesignSA, 12)
 	v, _ := model.Find(model.Enumerate(), model.Pattern{model.Ad, model.Vu, model.Ad})
-	r, err := cfg.RunVulnerability(v)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := runCleanOne(t, cfg, v, 1)
 	// Deterministic SA outcome: the interval collapses onto C* = 1.
 	if r.CILow != 1 || r.CIHigh != 1 {
 		t.Errorf("SA P+P CI = [%v,%v], want [1,1]", r.CILow, r.CIHigh)
 	}
 	rfCfg := testConfig(DesignRF, 200)
-	r, err = rfCfg.RunVulnerability(v)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r = runCleanOne(t, rfCfg, v, 1)
 	if r.CILow > r.C+1e-9 || r.CIHigh < 0 {
 		t.Errorf("RF CI [%v,%v] inconsistent with C*=%v", r.CILow, r.CIHigh, r.C)
 	}
@@ -301,10 +300,7 @@ func TestRFSecureRegionSizeSweep(t *testing.T) {
 		cfg := testConfig(DesignRF, 150)
 		cfg.Params.SecRangeSmall = size
 		cfg.Params.SecRangeBig = size
-		r, err := cfg.RunVulnerability(v)
-		if err != nil {
-			t.Fatalf("size %d: %v", size, err)
-		}
+		r := runCleanOne(t, cfg, v, 0)
 		if !r.Defended() {
 			t.Errorf("size %d: C* = %.3f (p1=%.2f p2=%.2f), RF must stay defended", size, r.C, r.P1, r.P2)
 		}
@@ -316,14 +312,8 @@ func TestParallelMatchesSerial(t *testing.T) {
 	// one (independent campaigns, deterministic seeds).
 	for _, d := range []Design{DesignSA, DesignRF} {
 		cfg := testConfig(d, 25)
-		serial, err := cfg.RunAll()
-		if err != nil {
-			t.Fatal(err)
-		}
-		parallel, err := cfg.RunAllParallel(4)
-		if err != nil {
-			t.Fatal(err)
-		}
+		serial := runClean(t, cfg, model.Enumerate(), 1)
+		parallel := runClean(t, cfg, model.Enumerate(), 4)
 		if len(serial) != len(parallel) {
 			t.Fatalf("%s: lengths differ", d)
 		}
@@ -339,15 +329,12 @@ func TestParallelMatchesSerial(t *testing.T) {
 
 func TestParallelExtended(t *testing.T) {
 	cfg := testConfig(DesignSA, 5)
-	serial, err := cfg.RunAllExtended()
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel, err := cfg.RunAllExtendedParallel(0) // default parallelism
-	if err != nil {
-		t.Fatal(err)
-	}
+	serial := runClean(t, cfg, model.EnumerateExtended(), 1)
+	parallel := runClean(t, cfg, model.EnumerateExtended(), 0) // default parallelism
 	if DefendedCount(serial) != DefendedCount(parallel) {
 		t.Error("extended parallel verdicts diverge from serial")
+	}
+	if !reflect.DeepEqual(serial, parallel) {
+		t.Error("extended parallel results differ from serial")
 	}
 }

@@ -7,6 +7,7 @@ import (
 
 	"securetlb/internal/faultinject"
 	"securetlb/internal/model"
+	"securetlb/internal/tlb"
 )
 
 // replayTestConfig is DefaultConfig shrunk to guard-test scale: enough trials
@@ -75,7 +76,8 @@ func TestReplayCampaignActive(t *testing.T) {
 // TestReplayMatchesFullExecution is the bit-identity guard: for every design,
 // with and without the invariant checker, replayed campaigns produce Results
 // — counts, probabilities, capacity and bootstrap CIs — identical to full
-// decode-and-execute, serially and under the trial-sharded parallel runner.
+// decode-and-execute, serially (one shard: one whole replay, then the rest
+// from the prefix boundary) and trial-sharded over four workers.
 func TestReplayMatchesFullExecution(t *testing.T) {
 	vulns := replayTestVulns(t)
 	for _, d := range AllDesigns() {
@@ -84,26 +86,17 @@ func TestReplayMatchesFullExecution(t *testing.T) {
 				full := replayTestConfig(d)
 				full.Invariants = inv
 				full.DisableTrace = true
-				want, err := full.RunVulnerability(v)
-				if err != nil {
-					t.Fatalf("%s inv=%v %s: full: %v", d, inv, v, err)
-				}
+				want := runCleanOne(t, full, v, 1)
 
 				replay := full
 				replay.DisableTrace = false
-				got, err := replay.RunVulnerability(v)
-				if err != nil {
-					t.Fatalf("%s inv=%v %s: replay: %v", d, inv, v, err)
-				}
+				got := runCleanOne(t, replay, v, 1)
 				if !reflect.DeepEqual(got, want) {
 					t.Errorf("%s inv=%v %s: replay diverged:\n full:   %+v\n replay: %+v",
 						d, inv, v, want, got)
 				}
 
-				par, err := replay.RunVulnerabilityParallel(v, 4)
-				if err != nil {
-					t.Fatalf("%s inv=%v %s: parallel replay: %v", d, inv, v, err)
-				}
+				par := runCleanOne(t, replay, v, 4)
 				if !reflect.DeepEqual(par, want) {
 					t.Errorf("%s inv=%v %s: parallel replay diverged:\n full:   %+v\n replay: %+v",
 						d, inv, v, want, par)
@@ -164,5 +157,103 @@ func TestReplayFaultCampaignUnchanged(t *testing.T) {
 	want, got := run(true), run(false)
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("faulted campaign diverged:\n full:   %+v\n replay: %+v", want, got)
+	}
+}
+
+// flakyReseeder wraps a campaign's reseeder and panics on chosen trial
+// seeds: on every attempt for the seeds in fail, on the first attempt only
+// for those in once. Before panicking it clears the TLB's secure region,
+// standing in for a trial that dies partway through the state its prefix
+// programs: only a whole replay programs the region again, so a trial
+// replayed from the prefix boundary after the failure runs against the
+// cleared region and leaks differently.
+type flakyReseeder struct {
+	inner      reseeder
+	sec        tlb.SecureTLB
+	fail, once map[uint64]bool
+	calls      map[uint64]int
+}
+
+func (f *flakyReseeder) Reseed(seed uint64) {
+	f.calls[seed]++
+	if f.fail[seed] || (f.once[seed] && f.calls[seed] == 1) {
+		f.sec.SetSecureRegion(0, 0)
+		panic("injected reseed failure")
+	}
+	f.inner.Reseed(seed)
+}
+
+// TestRunBodyErrorReplaysWhole covers the failure branch of the prefix-split
+// trial loop. A trial that fails on the RunBody path is replayed whole: it
+// survives when the whole replay succeeds, and when that fails too the
+// quarantine record is the whole replay's. A failed trial also sends the
+// next one down the whole path, because RunBody is sound only after a
+// completed Run on this VM, and a failure on a shard's first trial leaves a
+// freshly forked VM that has never run the trace.
+func TestRunBodyErrorReplaysWhole(t *testing.T) {
+	const trials = 12
+	cfg := replayTestConfig(DesignRF)
+	cfg.Trials = trials
+	for _, v := range replayTestVulns(t) {
+		for _, mapped := range []bool{true, false} {
+			tmpl, err := cfg.newCampaign(v, mapped)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tmpl.prefix == nil {
+				t.Fatalf("%s: no trial-invariant prefix; the RunBody path is not exercised", v)
+			}
+			cp, err := tmpl.clone()
+			if err != nil {
+				t.Fatal(err)
+			}
+			seed := func(trial int) uint64 { return cfg.trialSeed(trial, mapped) }
+			flaky := &flakyReseeder{
+				inner: cp.rs,
+				sec:   cp.machine.TLB.(tlb.SecureTLB),
+				fail:  map[uint64]bool{seed(0): true, seed(7): true},
+				once:  map[uint64]bool{seed(4): true},
+				calls: map[uint64]int{},
+			}
+			cp.rs = flaky
+			u, err := cfg.runTrialsResilient(context.Background(), cp, v, mapped, 0, trials)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			// Trial 0 has no whole replay to fall back on; trials 4 and 7 fail
+			// on the RunBody path and are replayed whole.
+			for trial, want := range map[int]int{0: 1, 4: 2, 7: 2} {
+				if got := flaky.calls[seed(trial)]; got != want {
+					t.Errorf("%s mapped=%v trial %d: %d attempts, want %d", v, mapped, trial, got, want)
+				}
+			}
+			if len(u.Quarantined) != 2 {
+				t.Fatalf("%s mapped=%v: quarantined %+v, want trials 0 and 7", v, mapped, u.Quarantined)
+			}
+			for i, trial := range []int{0, 7} {
+				q := u.Quarantined[i]
+				if q.Trial != trial || q.Seed != seed(trial) || q.Kind != "panic" || q.Reason != "panic: injected reseed failure" || q.Mapped != mapped {
+					t.Errorf("%s: quarantine entry %d = %+v", v, i, q)
+				}
+			}
+			misses := 0
+			for trial := 0; trial < trials; trial++ {
+				if trial == 0 || trial == 7 {
+					continue
+				}
+				miss, err := cfg.ReplayTrial(v, mapped, trial)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if miss {
+					misses++
+				}
+			}
+			if u.Survivors != trials-2 || u.Misses != misses {
+				t.Errorf("%s mapped=%v: %d misses over %d survivors, whole replays give %d over %d",
+					v, mapped, u.Misses, u.Survivors, misses, trials-2)
+			}
+		}
 	}
 }

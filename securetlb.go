@@ -24,6 +24,9 @@
 package securetlb
 
 import (
+	"context"
+	"fmt"
+
 	"securetlb/internal/area"
 	"securetlb/internal/attack"
 	"securetlb/internal/cache"
@@ -123,7 +126,8 @@ func MutualInformation(p1, p2 float64) float64 { return capacity.MutualInformati
 type (
 	// SecurityResult is one empirical Table 4 row.
 	SecurityResult = secbench.Result
-	// SecurityDesign selects SA, SP or RF for a campaign.
+	// SecurityDesign selects the TLB design a campaign runs on: the SA, SP
+	// and RF constants below, or any other secbench design.
 	SecurityDesign = secbench.Design
 )
 
@@ -136,13 +140,24 @@ const (
 
 // SecurityEvaluation generates and runs the micro security benchmarks for
 // all 24 vulnerability types on the given design (paper §5.3 setup: 8-way
-// 32-entry TLB, `trials` mapped + `trials` not-mapped runs each).
+// 32-entry TLB, `trials` mapped + `trials` not-mapped runs each). A trial
+// that fails (a panic, a fault, fuel exhaustion, a benchmark-signalled
+// failure) fails the evaluation rather than shrinking its sample.
 func SecurityEvaluation(design SecurityDesign, trials int) ([]SecurityResult, error) {
 	cfg := secbench.DefaultConfig(design)
 	if trials > 0 {
 		cfg.Trials = trials
 	}
-	return cfg.RunAll()
+	rep, err := cfg.RunAllCtx(context.Background(), secbench.RunOptions{})
+	if err != nil {
+		return nil, err
+	}
+	if n := len(rep.Quarantined); n > 0 {
+		q := rep.Quarantined[0]
+		return nil, fmt.Errorf("securetlb: %d trials failed; first: %s %s (mapped=%v, trial %d): %s",
+			n, q.Design, q.Pattern, q.Mapped, q.Trial, q.Reason)
+	}
+	return rep.Results, nil
 }
 
 // GenerateSecurityBenchmark emits the assembly source of one micro security
