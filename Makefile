@@ -84,14 +84,16 @@ assert-smoke:
 
 # Short native-fuzzing pass over the assembler, the binary program decoder,
 # the RI TLB's index cipher, the TLB array's lookup index against the set
-# scan, the checkpoint log reader and the bootstrap kernel against its
-# scalar reference (the checked-in corpora under testdata/fuzz run in plain
-# `go test`; this explores beyond them).
+# scan, the assertion monitor's log-fed mirror against the array (and
+# monitored against unmonitored results), the checkpoint log reader and the
+# bootstrap kernel against its scalar reference (the checked-in corpora
+# under testdata/fuzz run in plain `go test`; this explores beyond them).
 fuzz-smoke:
 	$(GO) test -fuzz FuzzAssemble -fuzztime $(FUZZTIME) ./internal/asm/
 	$(GO) test -fuzz FuzzDecode -fuzztime $(FUZZTIME) ./internal/isa/
 	$(GO) test -fuzz FuzzRandIdxCipher -fuzztime $(FUZZTIME) ./internal/tlb/
 	$(GO) test -fuzz FuzzSetLookup -fuzztime $(FUZZTIME) ./internal/tlb/
+	$(GO) test -fuzz FuzzMonitorLog -fuzztime $(FUZZTIME) ./internal/assert/
 	$(GO) test -fuzz FuzzCheckpointOpen -fuzztime $(FUZZTIME) ./internal/checkpoint/
 	$(GO) test -fuzz FuzzBootstrapCI -fuzztime $(FUZZTIME) ./internal/capacity/
 

@@ -258,8 +258,8 @@ func TestDetectsBiasedRNG(t *testing.T) {
 
 func TestDetectsSecBitEscape(t *testing.T) {
 	// A Sec bit flipped onto an attacker's entry between accesses is invisible
-	// to the delta check (the snapshot is taken per access) but must be caught
-	// by the global Sec-confinement scan.
+	// to the delta check (it is made outside any access) but must be caught
+	// by the Sec-confinement check, which covers every entry written since.
 	rf := newRF(t)
 	m := wrap(t, rf)
 	if _, err := m.Translate(0, 4); err != nil { // attacker entry, set 0
@@ -353,7 +353,7 @@ func TestWrapRejectsNonInspectable(t *testing.T) {
 
 // TestMonitorExcludedFromFastPaths pins the interpreter-fallback guarantee:
 // the trace VM promotes designs implementing the fast-path interfaces to a
-// register-level loop that would bypass the monitor's snapshotting, so the
+// register-level loop that would bypass the monitor's checking, so the
 // Monitor must never satisfy them.
 func TestMonitorExcludedFromFastPaths(t *testing.T) {
 	var m tlb.TLB = &Monitor{}
@@ -495,7 +495,7 @@ func TestTranslateZeroAlloc(t *testing.T) {
 			}
 		}
 		for i := 0; i < 64; i++ {
-			access() // reach steady state (snapshot buffers warmed)
+			access() // reach steady state (mirror and log buffers warmed)
 		}
 		if avg := testing.AllocsPerRun(200, access); avg != 0 {
 			t.Errorf("%s: monitored Translate allocates %.1f per access, want 0", name, avg)
@@ -514,6 +514,7 @@ func TestTranslateZeroAlloc(t *testing.T) {
 type fakeTLB struct {
 	ways, sets int
 	arr        []tlb.EntrySnapshot
+	log        *tlb.WriteLog
 	clock      uint64
 	stats      tlb.Stats
 	// fillWayFor, when non-nil, overrides the victim choice — the scripted
@@ -545,7 +546,9 @@ func (f *fakeTLB) Translate(asid tlb.ASID, vpn tlb.VPN) (tlb.Result, error) {
 	set := f.arr[s*f.ways : (s+1)*f.ways]
 	for w := range set {
 		if set[w].Valid && set[w].ASID == asid && set[w].VPN == vpn {
-			set[w].Stamp = f.clock
+			e := set[w]
+			e.Stamp = f.clock
+			f.write(s*f.ways+w, e)
 			f.stats.Hits++
 			return tlb.Result{PPN: set[w].PPN, Hit: true, Cycles: 1}, nil
 		}
@@ -570,7 +573,7 @@ func (f *fakeTLB) Translate(asid tlb.ASID, vpn tlb.VPN) (tlb.Result, error) {
 		res.Evicted, res.EvictedVPN, res.EvictedASID = true, set[w].VPN, set[w].ASID
 		f.stats.Evictions++
 	}
-	set[w] = tlb.EntrySnapshot{Valid: true, ASID: asid, VPN: vpn, PPN: res.PPN, Stamp: f.clock}
+	f.write(s*f.ways+w, tlb.EntrySnapshot{Valid: true, ASID: asid, VPN: vpn, PPN: res.PPN, Stamp: f.clock})
 	f.stats.Fills++
 	return res, nil
 }
@@ -586,8 +589,9 @@ func (f *fakeTLB) Probe(asid tlb.ASID, vpn tlb.VPN) bool {
 }
 
 func (f *fakeTLB) FlushAll() {
-	for i := range f.arr {
-		f.arr[i] = tlb.EntrySnapshot{}
+	clear(f.arr)
+	if f.log != nil {
+		f.log.Writes = append(f.log.Writes, tlb.Write{Pos: tlb.ClearAll})
 	}
 	f.stats.Flushes++
 }
@@ -595,7 +599,7 @@ func (f *fakeTLB) FlushAll() {
 func (f *fakeTLB) FlushASID(asid tlb.ASID) {
 	for i := range f.arr {
 		if f.arr[i].Valid && f.arr[i].ASID == asid {
-			f.arr[i] = tlb.EntrySnapshot{}
+			f.write(i, tlb.EntrySnapshot{})
 		}
 	}
 	f.stats.Flushes++
@@ -606,7 +610,7 @@ func (f *fakeTLB) FlushPage(asid tlb.ASID, vpn tlb.VPN) bool {
 	any := false
 	for i := range f.arr {
 		if f.arr[i].Valid && f.arr[i].ASID == asid && f.arr[i].VPN == vpn {
-			f.arr[i] = tlb.EntrySnapshot{}
+			f.write(i, tlb.EntrySnapshot{})
 			any = true
 		}
 	}
@@ -618,7 +622,7 @@ func (f *fakeTLB) FlushPageAllASIDs(vpn tlb.VPN) bool {
 	any := false
 	for i := range f.arr {
 		if f.arr[i].Valid && f.arr[i].VPN == vpn {
-			f.arr[i] = tlb.EntrySnapshot{}
+			f.write(i, tlb.EntrySnapshot{})
 			any = true
 		}
 	}
@@ -640,11 +644,28 @@ func (f *fakeTLB) CorruptEntry(set, way int, fn func(*tlb.EntrySnapshot)) bool {
 	if set < 0 || set >= f.sets || way < 0 || way >= f.ways || !f.arr[i].Valid {
 		return false
 	}
-	fn(&f.arr[i])
+	e := f.arr[i]
+	fn(&e)
+	f.write(i, e)
 	return true
 }
 
 func (f *fakeTLB) SetFaultHook(*tlb.FaultHook) {}
+
+func (f *fakeTLB) AttachWriteLog(l *tlb.WriteLog) {
+	f.log = l
+	for i, e := range f.arr {
+		f.write(i, e)
+	}
+}
+
+// write stores e at position i, logging the write when a log is attached.
+func (f *fakeTLB) write(i int, e tlb.EntrySnapshot) {
+	f.arr[i] = e
+	if f.log != nil {
+		f.log.Writes = append(f.log.Writes, tlb.Write{Pos: i, Entry: e})
+	}
+}
 
 // TestFakeDesignCleanTraffic: a design the assertion layer has never seen,
 // with a scrambled set mapping and its own partition policy, passes the full

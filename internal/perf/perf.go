@@ -263,45 +263,55 @@ func Run(cfg RunConfig) (Metrics, error) {
 	return finalize(instr, cycles, cfg.TLB.Stats().Misses), nil
 }
 
-// rsaPages caches the decryption page trace per key seed: keygen plus one
-// big.Int decryption is by far the most expensive part of building a cell,
-// and the trace depends only on the seed — the decrypt count is just the
-// Repeats field on the wrapper. The cached slice is shared read-only across
-// Trace instances (Trace never mutates Pages).
+// rsaPages caches the decryption page trace per key seed, with its digest:
+// keygen plus one big.Int decryption is by far the most expensive part of
+// building a cell, and the trace depends only on the seed — the decrypt
+// count is just the Repeats field on the wrapper. Every cell builds a new
+// wrapper, so the digest its stream-cache key carries is cached here too.
+// The cached slice is shared read-only across Trace instances (Trace never
+// mutates Pages).
 var (
 	rsaPagesMu    sync.Mutex
-	rsaPagesCache = map[uint64][]tlb.VPN{}
+	rsaPagesCache = map[uint64]rsaTrace{}
 )
 
-func rsaPages(seed uint64) ([]tlb.VPN, error) {
+// rsaTrace is one cached decryption trace.
+type rsaTrace struct {
+	pages  []tlb.VPN
+	digest uint64 // workload.DigestPages(pages)
+}
+
+func rsaPages(seed uint64) (rsaTrace, error) {
 	rsaPagesMu.Lock()
 	defer rsaPagesMu.Unlock()
-	if pages, ok := rsaPagesCache[seed]; ok {
-		return pages, nil
+	if tr, ok := rsaPagesCache[seed]; ok {
+		return tr, nil
 	}
 	rsa, err := victim.NewRSA(64, seed)
 	if err != nil {
-		return nil, err
+		return rsaTrace{}, err
 	}
 	_, traces := rsa.Decrypt(rsa.Encrypt(new(big.Int).SetUint64(0xfeedface)))
 	pages := victim.FlatTrace(traces)
+	tr := rsaTrace{pages: pages, digest: workload.DigestPages(pages)}
 	if len(rsaPagesCache) < 64 {
-		rsaPagesCache[seed] = pages
+		rsaPagesCache[seed] = tr
 	}
-	return pages, nil
+	return tr, nil
 }
 
 // RSATrace builds the RSA workload: `decrypts` back-to-back decryptions of
 // a fixed ciphertext, as a replayable trace process (§6.2's "RSA decryption
 // routine run 50, 100 and 150 times in series").
 func RSATrace(decrypts int, seed uint64) (*workload.Trace, error) {
-	pages, err := rsaPages(seed)
+	tr, err := rsaPages(seed)
 	if err != nil {
 		return nil, err
 	}
 	return &workload.Trace{
 		Nm:             "RSA",
-		Pages:          pages,
+		Pages:          tr.pages,
+		PagesDigest:    tr.digest,
 		InstrPerAccess: 6,
 		Repeats:        decrypts,
 	}, nil

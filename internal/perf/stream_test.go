@@ -289,3 +289,40 @@ func TestStreamKeyDistinguishesRepeats(t *testing.T) {
 		t.Errorf("stream key does not distinguish decrypt counts: %s", k2)
 	}
 }
+
+// TestStreamKeyWithCachedDigest: two cells' stream keys, built from the RSA
+// trace whose page digest rsaPages cached, are byte-identical to keys built
+// from traces that digest their pages themselves.
+func TestStreamKeyWithCachedDigest(t *testing.T) {
+	for _, cell := range []struct {
+		decrypts int
+		spec     workload.Generator
+	}{{2, nil}, {3, workload.SpecSuite()[0]}} {
+		key := func(cached bool) string {
+			rsa, err := RSATrace(cell.decrypts, 42)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rsa.PagesDigest == 0 {
+				t.Fatal("RSATrace carries no page digest")
+			}
+			if !cached {
+				rsa.PagesDigest = 0
+			}
+			procs := []Process{{ASID: victimASID, Gen: rsa}}
+			if cell.spec != nil {
+				procs = append(procs, Process{ASID: specASID, Gen: cell.spec})
+			}
+			cfg := RunConfig{Processes: procs, Seed: 1}
+			cfg.normalize()
+			k, ok := streamKeyFor(cfg)
+			if !ok {
+				t.Fatal("RSA cell config must be keyable")
+			}
+			return k
+		}
+		if got, want := key(true), key(false); got != want {
+			t.Errorf("%d decrypts: cached-digest key %s, digesting key %s", cell.decrypts, got, want)
+		}
+	}
+}

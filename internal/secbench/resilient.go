@@ -230,16 +230,21 @@ func (c Config) runUnit(ctx context.Context, p *pool.Pool, v model.Vulnerability
 		return unit, err
 	}
 	shards := pool.Shards(c.Trials, p.Size())
-	// The template machine runs the first shard itself; clones (taken
-	// sequentially — Clone mutates the source's copy-on-write state) serve
-	// the rest.
+	// The template machine runs the first shard itself. A replay campaign's
+	// other shards take released campaigns of its template, cloning only
+	// when none is free; a full-execution campaign's are clones of it
+	// (taken sequentially — Clone mutates the source's copy-on-write state).
 	camps := make([]*campaign, len(shards))
 	for i := range shards {
-		if i == 0 {
+		switch {
+		case i == 0:
 			camps[i] = template
-			continue
+		case template.tmpl != nil:
+			camps[i], err = template.tmpl.acquire()
+		default:
+			camps[i], err = template.clone()
 		}
-		if camps[i], err = template.clone(); err != nil {
+		if err != nil {
 			return unit, err
 		}
 	}

@@ -218,6 +218,19 @@ func (c Config) newReplayCampaign(v model.Vulnerability, mapped bool) (*campaign
 	if ent.camp == nil {
 		return c.newFullCampaign(v, mapped)
 	}
+	return ent.acquireLocked()
+}
+
+// acquire returns a campaign of this template: a released one when the free
+// list holds one, a fresh clone of the template machine otherwise.
+func (ent *campTemplate) acquire() (*campaign, error) {
+	ent.mu.Lock()
+	defer ent.mu.Unlock()
+	return ent.acquireLocked()
+}
+
+// acquireLocked is acquire with ent.mu held.
+func (ent *campTemplate) acquireLocked() (*campaign, error) {
 	if n := len(ent.free); n > 0 {
 		camp := ent.free[n-1]
 		ent.free[n-1] = nil

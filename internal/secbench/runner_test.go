@@ -128,3 +128,52 @@ func TestConcurrentCampaignsOverClonedMachines(t *testing.T) {
 		t.Errorf("campaign B diverged under contention: %+v != %+v", gotB, wantB)
 	}
 }
+
+// TestUnitReusesReleasedCampaigns pins the free-list contract of runUnit: a
+// unit on a warm template takes every shard's campaign from the template's
+// free list, so the list holds the same campaigns before and after it.
+func TestUnitReusesReleasedCampaigns(t *testing.T) {
+	// A full template cache hands out one-off templates, which keep no free
+	// list; earlier tests may have filled it.
+	campCache.Range(func(k, _ any) bool {
+		campCache.Delete(k)
+		return true
+	})
+	campCacheN.Store(0)
+	cfg := testConfig(DesignSA, 8)
+	v := model.Enumerate()[0]
+	p := pool.New(2)
+	if n := len(pool.Shards(cfg.Trials, p.Size())); n != 2 {
+		t.Fatalf("want 2 shards, got %d", n)
+	}
+	if _, err := cfg.runUnit(context.Background(), p, v, true); err != nil {
+		t.Fatal(err)
+	}
+	cp, err := cfg.newReplayCampaign(v, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ent := cp.tmpl
+	if ent == nil {
+		t.Fatal("the campaign does not replay a cached template")
+	}
+	cp.release()
+	before := map[*campaign]bool{}
+	for _, c := range ent.free {
+		before[c] = true
+	}
+	if len(before) != 2 {
+		t.Fatalf("the first unit left %d campaigns on the free list, want 2", len(before))
+	}
+	if _, err := cfg.runUnit(context.Background(), p, v, true); err != nil {
+		t.Fatal(err)
+	}
+	if len(ent.free) != 2 {
+		t.Fatalf("the second unit left %d campaigns on the free list, want the same 2", len(ent.free))
+	}
+	for _, c := range ent.free {
+		if !before[c] {
+			t.Fatal("the second unit cloned a campaign instead of reusing a released one")
+		}
+	}
+}

@@ -1,17 +1,20 @@
 package tlb
 
 // This file is the introspection and fault-injection surface of the TLB
-// designs: a read-only snapshot of the array (for the security-assertion
-// monitor in internal/assert), a controlled mutation entry point (for the
-// deterministic fault campaigns in internal/faultinject), and a per-design
-// FaultHook intercepting the microarchitectural events a hardware fault
-// would perturb — fills, LRU touches and Random Fill Engine draws.
+// designs: a read-only snapshot of the array, a write log that reports every
+// later entry write (for the security-assertion monitor in internal/assert,
+// which keeps its own copy of the array from it), a controlled mutation
+// entry point (for the deterministic fault campaigns in
+// internal/faultinject), and a per-design FaultHook intercepting the
+// microarchitectural events a hardware fault would perturb — fills, LRU
+// touches and Random Fill Engine draws.
 //
-// The hooks are designed to be free when unused: a design pays one nil
-// pointer check per intercepted event, and nothing at all on designs that
-// were never armed. Clones (CloneWith) deliberately do not inherit hooks —
-// fault injection is per-machine state, armed by the campaign runner on each
-// worker's machine for exactly one trial at a time.
+// The hooks and the log are designed to be free when unused: a design pays
+// one nil pointer check per intercepted event or entry write, and nothing
+// at all on designs that were never armed. Clones (CloneWith) deliberately
+// inherit neither — fault injection is per-machine state, armed by the
+// campaign runner on each worker's machine for exactly one trial at a time,
+// and a log belongs to the one monitor that attached it.
 
 // EntrySnapshot is an exported view of one TLB entry, as captured by
 // SnapshotAppend and mutated through CorruptEntry.
@@ -27,9 +30,9 @@ type EntrySnapshot struct {
 }
 
 // Inspectable is implemented by designs whose array state can be observed
-// (runtime invariant checking) and perturbed (fault injection). The
-// single-array designs — SetAssoc, SP and RF — implement it; compositions
-// (TwoLevel, Coalesced) do not.
+// (runtime assertion checking) and perturbed (fault injection). The five
+// single-array designs — SetAssoc (and so FA), SP, RF, RandIdx and
+// FlushOnSwitch — implement it; compositions (TwoLevel, Coalesced) do not.
 type Inspectable interface {
 	// SnapshotAppend appends the current array contents to dst in set-major
 	// order (set 0 ways 0..W-1, then set 1, ...) and returns the extended
@@ -44,6 +47,30 @@ type Inspectable interface {
 	// SetFaultHook installs h as the design's fault-injection hook, or
 	// removes it when h is nil.
 	SetFaultHook(h *FaultHook)
+	// AttachWriteLog makes the design append every later entry write to l,
+	// or stop logging when l is nil. Attaching first logs every position's
+	// current value, so applying l's writes in order to a zeroed copy of
+	// the array keeps that copy equal to SnapshotAppend's result.
+	AttachWriteLog(l *WriteLog)
+}
+
+// WriteLog is the record of an array's entry writes, in the order they
+// happened: installs, LRU touches, invalidations, whole clears and
+// corruptions alike. Its reader owns it: it consumes Writes and truncates
+// the slice, and the design only appends.
+type WriteLog struct {
+	Writes []Write
+}
+
+// ClearAll is the Pos of a Write that invalidated every entry at once.
+const ClearAll = -1
+
+// Write is one logged entry write: the value now at position Pos
+// (set*ways + way), or, when Pos is ClearAll, the invalidation of every
+// entry.
+type Write struct {
+	Pos   int
+	Entry EntrySnapshot
 }
 
 // FillAction is a FaultHook's verdict on a pending fill.
@@ -141,15 +168,16 @@ func (h *FaultHook) autoFlushAllowed() bool {
 	return h.OnAutoFlush()
 }
 
+// snapshot converts one entry to its exported view.
+func (e *entry) snapshot() EntrySnapshot {
+	return EntrySnapshot{Valid: e.valid, ASID: e.asid, VPN: e.vpn, PPN: e.ppn, Sec: e.sec, Stamp: e.stamp}
+}
+
 // snapshotAppend converts a design's set array to EntrySnapshots, set-major.
 func snapshotAppend(dst []EntrySnapshot, sets [][]entry) []EntrySnapshot {
 	for s := range sets {
 		for w := range sets[s] {
-			e := &sets[s][w]
-			dst = append(dst, EntrySnapshot{
-				Valid: e.valid, ASID: e.asid, VPN: e.vpn, PPN: e.ppn,
-				Sec: e.sec, Stamp: e.stamp,
-			})
+			dst = append(dst, sets[s][w].snapshot())
 		}
 	}
 	return dst
@@ -164,7 +192,7 @@ func corruptEntry(sets [][]entry, set, way int, f func(*EntrySnapshot)) bool {
 	if !e.valid {
 		return false
 	}
-	s := EntrySnapshot{Valid: e.valid, ASID: e.asid, VPN: e.vpn, PPN: e.ppn, Sec: e.sec, Stamp: e.stamp}
+	s := e.snapshot()
 	f(&s)
 	*e = entry{valid: s.Valid, asid: s.ASID, vpn: s.VPN, ppn: s.PPN, sec: s.Sec, stamp: s.Stamp}
 	return true
@@ -183,6 +211,9 @@ func (t *SetAssoc) CorruptEntry(set, way int, f func(*EntrySnapshot)) bool {
 // SetFaultHook implements Inspectable.
 func (t *SetAssoc) SetFaultHook(h *FaultHook) { t.setHook(h) }
 
+// AttachWriteLog implements Inspectable.
+func (t *SetAssoc) AttachWriteLog(l *WriteLog) { t.attachLog(l) }
+
 // SnapshotAppend implements Inspectable.
 func (t *SP) SnapshotAppend(dst []EntrySnapshot) []EntrySnapshot {
 	return snapshotAppend(dst, t.sets)
@@ -195,6 +226,9 @@ func (t *SP) CorruptEntry(set, way int, f func(*EntrySnapshot)) bool {
 
 // SetFaultHook implements Inspectable.
 func (t *SP) SetFaultHook(h *FaultHook) { t.setHook(h) }
+
+// AttachWriteLog implements Inspectable.
+func (t *SP) AttachWriteLog(l *WriteLog) { t.attachLog(l) }
 
 // SnapshotAppend implements Inspectable.
 func (t *RF) SnapshotAppend(dst []EntrySnapshot) []EntrySnapshot {
@@ -209,6 +243,9 @@ func (t *RF) CorruptEntry(set, way int, f func(*EntrySnapshot)) bool {
 // SetFaultHook implements Inspectable.
 func (t *RF) SetFaultHook(h *FaultHook) { t.setHook(h) }
 
+// AttachWriteLog implements Inspectable.
+func (t *RF) AttachWriteLog(l *WriteLog) { t.attachLog(l) }
+
 // SnapshotAppend implements Inspectable.
 func (t *RandIdx) SnapshotAppend(dst []EntrySnapshot) []EntrySnapshot {
 	return snapshotAppend(dst, t.sets)
@@ -222,6 +259,9 @@ func (t *RandIdx) CorruptEntry(set, way int, f func(*EntrySnapshot)) bool {
 // SetFaultHook implements Inspectable.
 func (t *RandIdx) SetFaultHook(h *FaultHook) { t.setHook(h) }
 
+// AttachWriteLog implements Inspectable.
+func (t *RandIdx) AttachWriteLog(l *WriteLog) { t.attachLog(l) }
+
 // SnapshotAppend implements Inspectable.
 func (t *FlushOnSwitch) SnapshotAppend(dst []EntrySnapshot) []EntrySnapshot {
 	return snapshotAppend(dst, t.sets)
@@ -234,6 +274,9 @@ func (t *FlushOnSwitch) CorruptEntry(set, way int, f func(*EntrySnapshot)) bool 
 
 // SetFaultHook implements Inspectable.
 func (t *FlushOnSwitch) SetFaultHook(h *FaultHook) { t.setHook(h) }
+
+// AttachWriteLog implements Inspectable.
+func (t *FlushOnSwitch) AttachWriteLog(l *WriteLog) { t.attachLog(l) }
 
 var (
 	_ Inspectable = (*SetAssoc)(nil)

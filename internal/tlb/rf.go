@@ -153,12 +153,13 @@ func (t *RF) randomAliasVPN(vpn VPN) (VPN, error) {
 func (t *RF) fill(asid ASID, vpn VPN, ppn PPN, sec bool, res *Result) {
 	s := t.geom.setIndex(vpn)
 	// If the translation is already present (D' may collide with a cached
-	// entry), just refresh its LRU position.
+	// entry), just refresh its LRU position and Sec bit.
 	hit, victim := t.lookup(s, asid, vpn)
 	if hit >= 0 {
 		e := &t.sets[s][hit]
-		t.touch(e, s, hit, t.clock)
-		e.sec = sec
+		v := *e
+		v.stamp, v.sec = t.clock, sec
+		t.install(e, s, hit, v)
 		return
 	}
 	if t.hook != nil && t.hook.OnFill != nil {

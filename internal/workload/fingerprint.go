@@ -6,6 +6,7 @@ import (
 	"hash/fnv"
 
 	"securetlb/internal/fingerprint"
+	"securetlb/internal/tlb"
 )
 
 // Fingerprinter is implemented by generators whose behaviour is fully
@@ -37,19 +38,30 @@ func (s *Streaming) WorkloadFingerprint() string {
 // pages or repeat count) — so the pages are digested, not enumerated. The
 // digest is memoized per instance (Pages is fixed after construction, like
 // the rest of the configuration; only the cursor fields mutate), so sweeps
-// that key many cells off one trace hash it once.
+// that key many cells off one trace hash it once, and a caller that builds
+// many traces over the same pages passes their digest in PagesDigest.
 func (t *Trace) WorkloadFingerprint() string {
 	if t.fp == "" {
-		h := fnv.New64a()
-		var buf [8]byte
-		for _, p := range t.Pages {
-			binary.LittleEndian.PutUint64(buf[:], uint64(p))
-			h.Write(buf[:])
+		sum := t.PagesDigest
+		if sum == 0 {
+			sum = DigestPages(t.Pages)
 		}
 		d := fingerprint.New().
 			Fieldf("trace|%s|ipa=%d|rep=%d|n=%d|pages=%016x",
-				t.Nm, t.InstrPerAccess, t.Repeats, len(t.Pages), h.Sum64())
+				t.Nm, t.InstrPerAccess, t.Repeats, len(t.Pages), sum)
 		t.fp = fmt.Sprintf("trace|%s|%s", t.Nm, d.Sum())
 	}
 	return t.fp
+}
+
+// DigestPages is the FNV-64a digest of a page sequence that a Trace's
+// fingerprint carries.
+func DigestPages(pages []tlb.VPN) uint64 {
+	h := fnv.New64a()
+	var buf [8]byte
+	for _, p := range pages {
+		binary.LittleEndian.PutUint64(buf[:], uint64(p))
+		h.Write(buf[:])
+	}
+	return h.Sum64()
 }

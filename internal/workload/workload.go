@@ -109,6 +109,10 @@ type Trace struct {
 	Pages          []tlb.VPN
 	InstrPerAccess int
 	Repeats        int
+	// PagesDigest is DigestPages(Pages), for a caller that shares Pages
+	// across traces and has digested them once; zero means unknown, and
+	// WorkloadFingerprint digests Pages itself.
+	PagesDigest uint64
 
 	pos, gap, done int
 	fp             string // memoized WorkloadFingerprint
