@@ -18,6 +18,11 @@
 // panic, exhaust their instruction budget or fault are quarantined (excluded
 // from the statistics) and listed after the result tables with the seed and
 // trial index needed to reproduce them.
+//
+// Each design's campaign also reports on stderr how many of its trials it
+// simulated: on SA, SP, FA and FS every trial of a unit repeats the first,
+// so a campaign without -invariants, -inject or -no-trace runs one trial per
+// unit and credits it to all.
 package main
 
 import (
@@ -211,13 +216,23 @@ func openCheckpoint(designs []secbench.Design, trials int, extended bool, path s
 	return ck
 }
 
+// runCampaign runs one design's campaign and reports on stderr how many of
+// its credited trials were simulated: a unit of an unseeded design runs one
+// trial for all of them, and a resumed unit runs none.
 func runCampaign(ctx context.Context, d secbench.Design, trials int, extended bool, parallel int, ck *checkpoint.File) (secbench.CampaignReport, error) {
 	cfg := configFor(d, trials)
 	opts := secbench.RunOptions{Parallelism: parallel, Checkpoint: ck}
+	var rep secbench.CampaignReport
+	var err error
 	if extended {
-		return cfg.RunAllExtendedCtx(ctx, opts)
+		rep, err = cfg.RunAllExtendedCtx(ctx, opts)
+	} else {
+		rep, err = cfg.RunAllCtx(ctx, opts)
 	}
-	return cfg.RunAllCtx(ctx, opts)
+	if err == nil || isInterrupt(err) {
+		fmt.Fprintf(os.Stderr, "secbench: %s: simulated %d of %d trials\n", d, rep.Simulated, 2*trials*len(rep.Results))
+	}
+	return rep, err
 }
 
 // jsonRow is the machine-readable form of one campaign row.

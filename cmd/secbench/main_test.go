@@ -197,3 +197,32 @@ func TestFreshCheckpointRefusesExistingFile(t *testing.T) {
 		t.Fatalf("second run without -resume succeeded:\n%s", out)
 	}
 }
+
+// TestStderrReportsSimulatedTrials: in table and -json mode alike, each
+// design's campaign says on stderr how many of its credited trials it
+// simulated, and stdout carries none of it.
+func TestStderrReportsSimulatedTrials(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the real binary")
+	}
+	bin := buildSecbench(t)
+	for _, mode := range [][]string{nil, {"-json"}} {
+		var stdout, stderr bytes.Buffer
+		run := exec.Command(bin, append([]string{"-design", "sa,rf", "-trials", "30"}, mode...)...)
+		run.Stdout, run.Stderr = &stdout, &stderr
+		if err := run.Run(); err != nil {
+			t.Fatalf("%v: %v\n%s", mode, err, stderr.String())
+		}
+		for _, want := range []string{
+			"secbench: SA TLB: simulated 48 of 1440 trials\n",
+			"secbench: RF TLB: simulated 1440 of 1440 trials\n",
+		} {
+			if !strings.Contains(stderr.String(), want) {
+				t.Errorf("%v: stderr lacks %q:\n%s", mode, want, stderr.String())
+			}
+		}
+		if strings.Contains(stdout.String(), "simulated") {
+			t.Errorf("%v: stdout reports simulated trials", mode)
+		}
+	}
+}

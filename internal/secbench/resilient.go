@@ -95,6 +95,10 @@ type unitCounts struct {
 	Misses      int           `json:"misses"`
 	Survivors   int           `json:"survivors"`
 	Quarantined []Quarantined `json:"quarantined,omitempty"`
+	// simulated counts the trials this process executed for the unit. It
+	// is unexported, so the checkpoint does not store it and a unit read
+	// back from one counts zero.
+	simulated int
 }
 
 // unitKey is the checkpoint key for one work unit: the program-cache
@@ -210,24 +214,62 @@ func (c Config) runTrialsResilient(ctx context.Context, cp *campaign, v model.Vu
 	return u, nil
 }
 
+// collapses reports whether a unit of this config runs one trial and
+// credits its outcome to all c.Trials: the design is unseeded, so every
+// trial repeats the first, and nothing is armed that must meet every trial
+// (a per-trial Inject hook, a fault site, the assertion monitor). Under
+// DisableTrace every trial runs in full, which keeps the replay ≡ full
+// execution checks comparing against real execution.
+func (c Config) collapses() bool {
+	return !c.Design.seeded() && c.Inject == nil && c.FaultSite == "" &&
+		!c.Invariants && !c.DisableTrace && c.Trials > 0
+}
+
 // runUnit executes one (vulnerability, behaviour) unit trial-sharded over p:
 // per-trial failures land in the unit's quarantine list instead of aborting,
 // and cancellation stops admitting shards and drains the started ones. The
 // per-trial seed contract (trialSeed) makes the shard split invisible in the
 // results: each shard's counts depend only on its trial indices, and integer
 // summation is order-independent.
+//
+// A collapsing config (see collapses) runs trial 0 whole under the slot that
+// built the template and credits its outcome to every trial. If that trial
+// fails, the unit runs trial by trial as any other, so its quarantine
+// records are exactly the ones per-trial execution writes.
 func (c Config) runUnit(ctx context.Context, p *pool.Pool, v model.Vulnerability, mapped bool) (unitCounts, error) {
 	var unit unitCounts
 	var template *campaign
 	var err error
+	collapse := c.collapses()
+	var miss, done bool
 	// Build the template under a worker slot: assembly and page-table setup
 	// is real work, and gating it keeps a whole campaign's concurrency at
 	// exactly the pool bound.
-	if rerr := p.RunCtx(ctx, func() { template, err = c.newCampaign(v, mapped) }); rerr != nil {
+	if rerr := p.RunCtx(ctx, func() {
+		if template, err = c.newCampaign(v, mapped); err != nil || !collapse {
+			return
+		}
+		seed, fuel := trialSeedFor(c.BaseSeed, 0, mapped), c.fuel()
+		done = pool.Safely(func() (terr error) {
+			miss, terr = template.runTrial(seed, fuel, nil)
+			return terr
+		}) == nil
+	}); rerr != nil {
 		return unit, rerr
 	}
 	if err != nil {
 		return unit, err
+	}
+	if collapse {
+		unit.simulated = 1
+		if done {
+			template.release()
+			unit.Survivors = c.Trials
+			if miss {
+				unit.Misses = c.Trials
+			}
+			return unit, nil
+		}
 	}
 	shards := pool.Shards(c.Trials, p.Size())
 	// The template machine runs the first shard itself. A replay campaign's
@@ -265,6 +307,7 @@ func (c Config) runUnit(ctx context.Context, p *pool.Pool, v model.Vulnerability
 		unit.Survivors += units[i].Survivors
 		unit.Quarantined = append(unit.Quarantined, units[i].Quarantined...)
 	}
+	unit.simulated += c.Trials
 	for _, cp := range camps {
 		cp.release()
 	}
@@ -281,10 +324,12 @@ func (c Config) finalizeCtx(ctx context.Context, res *Result) error {
 }
 
 // runVulnerabilityResilient runs one vulnerability's two units, consulting
-// and feeding the checkpoint (nil-safe) around each.
-func (c Config) runVulnerabilityResilient(ctx context.Context, p *pool.Pool, v model.Vulnerability, ck *checkpoint.File) (Result, []Quarantined, error) {
+// and feeding the checkpoint (nil-safe) around each. It also returns how
+// many trials it executed.
+func (c Config) runVulnerabilityResilient(ctx context.Context, p *pool.Pool, v model.Vulnerability, ck *checkpoint.File) (Result, []Quarantined, int, error) {
 	res := Result{Vulnerability: v}
 	var quarantined []Quarantined
+	simulated := 0
 	for _, mapped := range []bool{true, false} {
 		// The key is a reflective Sprintf, a fifth of a 20-trial campaign's
 		// time, so it is built only when a checkpoint will use it.
@@ -295,16 +340,17 @@ func (c Config) runVulnerabilityResilient(ctx context.Context, p *pool.Pool, v m
 		var unit unitCounts
 		hit, err := ck.Lookup(key, &unit)
 		if err != nil {
-			return res, nil, err
+			return res, nil, 0, err
 		}
 		if !hit {
 			if unit, err = c.runUnit(ctx, p, v, mapped); err != nil {
-				return res, nil, err
+				return res, nil, 0, err
 			}
 			if err := ck.Record(key, unit); err != nil {
-				return res, nil, err
+				return res, nil, 0, err
 			}
 		}
+		simulated += unit.simulated
 		if mapped {
 			res.Counts.Mapped, res.Counts.MappedMisses = unit.Survivors, unit.Misses
 		} else {
@@ -313,9 +359,9 @@ func (c Config) runVulnerabilityResilient(ctx context.Context, p *pool.Pool, v m
 		quarantined = append(quarantined, unit.Quarantined...)
 	}
 	if err := c.finalizeCtx(ctx, &res); err != nil {
-		return res, nil, err
+		return res, nil, 0, err
 	}
-	return res, quarantined, nil
+	return res, quarantined, simulated, nil
 }
 
 // RunOptions parameterises a resilient campaign run.
@@ -347,6 +393,11 @@ func (o RunOptions) pool() *pool.Pool {
 type CampaignReport struct {
 	Results     []Result
 	Quarantined []Quarantined
+	// Simulated is how many trials the run executed for Results. A unit of
+	// an unseeded design runs one trial and credits it to all (see
+	// runUnit), a unit read from a checkpoint runs none, so Simulated may
+	// be far below the 2·Trials·len(Results) trials the statistics count.
+	Simulated int
 }
 
 // RunCampaign executes a resilient campaign over vulns. Per-trial failures
@@ -362,16 +413,17 @@ func (c Config) RunCampaign(ctx context.Context, vulns []model.Vulnerability, op
 	ck := opts.Checkpoint
 	results := make([]Result, len(vulns))
 	quars := make([][]Quarantined, len(vulns))
+	sims := make([]int, len(vulns))
 	errs := make([]error, len(vulns))
 	var wg sync.WaitGroup
 	for i, v := range vulns {
 		i, v := i, v
 		wg.Add(1)
-		// One lightweight orchestrator per vulnerability, as in
-		// runListParallel; all real work runs under p's worker bound.
+		// One lightweight orchestrator per vulnerability; all real work
+		// runs under p's worker bound.
 		go func() {
 			defer wg.Done()
-			results[i], quars[i], errs[i] = c.runVulnerabilityResilient(ctx, p, v, ck)
+			results[i], quars[i], sims[i], errs[i] = c.runVulnerabilityResilient(ctx, p, v, ck)
 		}()
 	}
 	wg.Wait()
@@ -382,6 +434,7 @@ func (c Config) RunCampaign(ctx context.Context, vulns []model.Vulnerability, op
 		case errs[i] == nil:
 			report.Results = append(report.Results, results[i])
 			report.Quarantined = append(report.Quarantined, quars[i]...)
+			report.Simulated += sims[i]
 		case errors.Is(errs[i], context.Canceled) || errors.Is(errs[i], context.DeadlineExceeded):
 			ctxErr = errs[i]
 		default:

@@ -3,7 +3,6 @@ package secbench
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"securetlb/internal/asm"
 	"securetlb/internal/assert"
@@ -157,16 +156,42 @@ type campTemplate struct {
 // concurrent workers).
 const campFreeCap = 64
 
-// campCache maps campKey to *campTemplate, bounded by campCacheCap distinct
-// keys process-wide (a geometry sweep revisits few; an adversarial sweep over
-// thousands of configs degrades to per-campaign capture, not unbounded
-// memory).
-var (
-	campCache  sync.Map
-	campCacheN atomic.Int32
-)
+// templateCache maps campKey to *campTemplate, bounded by campCacheCap
+// distinct keys. The key past the bound starts a new generation, as
+// capacity's bootstrap memo does: a long-lived daemon that has seen many
+// configurations recaptures a dropped key once and pools it again.
+// Campaigns of a dropped template keep their pointer to it and release into
+// it harmlessly.
+type templateCache struct {
+	mu   sync.Mutex
+	keys map[campKey]*campTemplate
+}
 
-const campCacheCap = 512
+// campCacheCap bounds the template cache. It must exceed the keys one
+// sweep cycles through, or every generation is dropped before its keys come
+// round again: all six designs over Table 2's and Appendix B's lists, both
+// behaviours, are 1,008 keys per base seed and geometry. A template with two
+// pooled campaigns holds about 90 KB.
+const campCacheCap = 1024
+
+// campCache is the process-wide replay-template cache.
+var campCache templateCache
+
+// get returns the template slot for key, creating an empty one (initialised
+// by its first user) when the cache does not hold it.
+func (tc *templateCache) get(key campKey) *campTemplate {
+	tc.mu.Lock()
+	defer tc.mu.Unlock()
+	if ent, ok := tc.keys[key]; ok {
+		return ent
+	}
+	if tc.keys == nil || len(tc.keys) == campCacheCap {
+		tc.keys = make(map[campKey]*campTemplate)
+	}
+	ent := &campTemplate{}
+	tc.keys[key] = ent
+	return ent
+}
 
 // newReplayCampaign returns a campaign that replays a cached trace, capturing
 // one (and building its template machine) on first use of the key. Programs a
@@ -184,26 +209,7 @@ func (c Config) newReplayCampaign(v model.Vulnerability, mapped bool) (*campaign
 		inv:        c.Invariants,
 		rekeyFills: c.RekeyFills,
 	}
-	entAny, ok := campCache.Load(key)
-	if !ok {
-		if campCacheN.Add(1) > campCacheCap {
-			campCacheN.Add(-1)
-			// Cache full: capture a one-off template this campaign owns
-			// outright (no clone needed).
-			tmpl := &campTemplate{}
-			if err := c.buildReplayTemplate(tmpl, prog); err != nil {
-				return nil, err
-			}
-			if tmpl.camp == nil {
-				return c.newFullCampaign(v, mapped)
-			}
-			return tmpl.camp, nil
-		}
-		if entAny, ok = campCache.LoadOrStore(key, &campTemplate{}); ok {
-			campCacheN.Add(-1) // lost the race; the winner's entry counts
-		}
-	}
-	ent := entAny.(*campTemplate)
+	ent := campCache.get(key)
 	ent.mu.Lock()
 	defer ent.mu.Unlock()
 	if !ent.init {
@@ -357,7 +363,7 @@ type campaign struct {
 	vm                 *trace.VM
 	tr                 *trace.Trace
 	prefix             *trace.Prefix // trial-invariant prologue, nil = replay whole trace
-	tmpl               *campTemplate // owning pool slot, nil for one-offs
+	tmpl               *campTemplate // owning pool slot, nil for full execution
 	memoBase           tlb.VPN       // dense memo-walker window, for clone re-wrapping
 	memoSpan, memoASID uint64
 
@@ -371,8 +377,8 @@ type campaign struct {
 // release returns a pooled replay campaign to its template's free list for
 // reuse (its warm memo-walker caches make the next acquisition free). The
 // per-trial reset protocol erases all cross-trial TLB state, so a reused
-// campaign behaves exactly like a fresh clone. No-op for full-execution and
-// one-off campaigns.
+// campaign behaves exactly like a fresh clone. No-op for full-execution
+// campaigns.
 func (cp *campaign) release() {
 	if cp == nil || cp.tmpl == nil {
 		return

@@ -3,6 +3,7 @@ package secbench
 import (
 	"context"
 	"reflect"
+	"strconv"
 	"sync"
 	"testing"
 
@@ -131,16 +132,13 @@ func TestConcurrentCampaignsOverClonedMachines(t *testing.T) {
 
 // TestUnitReusesReleasedCampaigns pins the free-list contract of runUnit: a
 // unit on a warm template takes every shard's campaign from the template's
-// free list, so the list holds the same campaigns before and after it.
+// free list, so the list holds the same campaigns before and after it. RF is
+// seeded, so its units shard rather than collapse to one trial. The base
+// seed is part of the template key and used nowhere else, so the unit starts
+// from a fresh template whatever ran before.
 func TestUnitReusesReleasedCampaigns(t *testing.T) {
-	// A full template cache hands out one-off templates, which keep no free
-	// list; earlier tests may have filled it.
-	campCache.Range(func(k, _ any) bool {
-		campCache.Delete(k)
-		return true
-	})
-	campCacheN.Store(0)
-	cfg := testConfig(DesignSA, 8)
+	cfg := testConfig(DesignRF, 8)
+	cfg.BaseSeed = 0xf7ee115
 	v := model.Enumerate()[0]
 	p := pool.New(2)
 	if n := len(pool.Shards(cfg.Trials, p.Size())); n != 2 {
@@ -175,5 +173,101 @@ func TestUnitReusesReleasedCampaigns(t *testing.T) {
 		if !before[c] {
 			t.Fatal("the second unit cloned a campaign instead of reusing a released one")
 		}
+	}
+}
+
+// TestTemplateCacheEvictsByGeneration: keys within the bound keep their
+// slots, and the key past it starts a new generation that pools it.
+func TestTemplateCacheEvictsByGeneration(t *testing.T) {
+	var tc templateCache
+	key := func(i int) campKey { return campKey{fp: strconv.Itoa(i)} }
+	slots := make([]*campTemplate, campCacheCap)
+	for pass := 0; pass < 2; pass++ {
+		for i := range slots {
+			ent := tc.get(key(i))
+			if pass == 0 {
+				slots[i] = ent
+			} else if ent != slots[i] {
+				t.Fatalf("key %d lost its slot within the bound", i+1)
+			}
+		}
+	}
+	past := tc.get(key(campCacheCap))
+	if len(tc.keys) != 1 || tc.get(key(campCacheCap)) != past {
+		t.Fatalf("key %d did not start a new generation that holds it", campCacheCap+1)
+	}
+}
+
+// evictionSeed numbers the template keys TestTemplateCacheKeyPastBoundIsPooled
+// makes: BaseSeed is part of the key, and these seeds are used nowhere else,
+// so every one is a new key, also across -count repetitions.
+var evictionSeed uint64 = 0xe71c0000
+
+// TestTemplateCacheKeyPastBoundIsPooled fills the process-wide cache with
+// real templates and requires the next key's campaign to be pooled:
+// released, it is handed out again, not recaptured.
+func TestTemplateCacheKeyPastBoundIsPooled(t *testing.T) {
+	cfg := testConfig(DesignSA, 1)
+	v := model.Enumerate()[0]
+	next := func() *campaign {
+		t.Helper()
+		evictionSeed++
+		c := cfg
+		c.BaseSeed = evictionSeed
+		cp, err := c.newReplayCampaign(v, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cp
+	}
+	size := func() int {
+		campCache.mu.Lock()
+		defer campCache.mu.Unlock()
+		return len(campCache.keys)
+	}
+	for size() < campCacheCap {
+		next()
+	}
+	cp := next()
+	if size() != 1 {
+		t.Fatalf("key %d did not start a new generation", campCacheCap+1)
+	}
+	if cp.tmpl == nil {
+		t.Fatalf("key %d got a template with no free list", campCacheCap+1)
+	}
+	cp.release()
+	c := cfg
+	c.BaseSeed = evictionSeed
+	again, err := c.newReplayCampaign(v, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again != cp {
+		t.Errorf("key %d recaptured instead of reusing its released campaign", campCacheCap+1)
+	}
+}
+
+// TestTemplateCacheUnderContention crosses generations from several
+// goroutines at once (run it with -race): every lookup gets a slot and the
+// cache never outgrows the bound.
+func TestTemplateCacheUnderContention(t *testing.T) {
+	var tc templateCache
+	const workers, keys = 4, 3 * campCacheCap
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for k := 0; k < keys; k++ {
+				if tc.get(campKey{fp: strconv.Itoa((k*7 + w) % keys)}) == nil {
+					t.Error("nil template slot")
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if n := len(tc.keys); n < 1 || n > campCacheCap {
+		t.Errorf("cache holds %d keys, want 1..%d", n, campCacheCap)
 	}
 }

@@ -90,6 +90,14 @@ func (d Design) String() string {
 	return "?"
 }
 
+// seeded reports whether the design draws per-trial randomness from the
+// trial seed (RF's fill PRNG, RI's key stream). Every trial of an unseeded
+// design's unit replays the same program on the same flushed array, so its
+// outcome is one value credited to all trials (see runUnit). This is a
+// declaration, checked by TestDeterminismDeclaration, not inferred from
+// which TLBs implement Reseed.
+func (d Design) seeded() bool { return d == DesignRF || d == DesignRI }
+
 // Config parameterises a benchmark campaign. The zero value is not valid;
 // use DefaultConfig.
 type Config struct {
