@@ -295,6 +295,28 @@ func newRF8W32Secure() (tlb.TLB, error) {
 	return rf, err
 }
 
+// newSPFA128 is Figure 7's fully associative SP: the victim fills only its
+// 64-way half, through the index's partitioned lookup.
+func newSPFA128() (tlb.TLB, error) {
+	sp, err := tlb.NewSP(128, 128, 64, identityWalker())
+	if err == nil {
+		sp.SetVictim(1)
+	}
+	return sp, err
+}
+
+// newRFFA128Secure makes pages 0..126 secure, so the plain row's lookups of
+// them are random-fill misses on the indexed array; its Hit row uses pages
+// outside the region.
+func newRFFA128Secure() (tlb.TLB, error) {
+	rf, err := tlb.NewRF(128, 128, identityWalker(), 1)
+	if err == nil {
+		rf.SetVictim(1)
+		rf.SetSecureRegion(0, 127)
+	}
+	return rf, err
+}
+
 func BenchmarkTranslateSA4W32(b *testing.B)       { benchTranslate(b, newSA4W32, 0, 64) }
 func BenchmarkTranslateFA32(b *testing.B)         { benchTranslate(b, newFA32, 0, 64) }
 func BenchmarkTranslateSP4W32(b *testing.B)       { benchTranslate(b, newSP4W32, 0, 64) }
@@ -321,6 +343,13 @@ func BenchmarkTranslateRF8W32SecureHit(b *testing.B) { benchTranslate(b, newRF8W
 // 4 ways fit under the benchmark's key.
 func BenchmarkTranslateRI4W32Hit(b *testing.B) { benchTranslate(b, newRI4W32, 0, 8) }
 func BenchmarkTranslateFS4W32Hit(b *testing.B) { benchTranslate(b, newFS4W32, 0, 16) }
+
+// The indexed rows of Figure 7's secure designs: SP's partitioned lookup
+// (64 victim ways; 128 pages miss, 64 fit) and RF's indexed miss path.
+func BenchmarkTranslateSPFA128(b *testing.B)          { benchTranslate(b, newSPFA128, 0, 128) }
+func BenchmarkTranslateSPFA128Hit(b *testing.B)       { benchTranslate(b, newSPFA128, 0, 64) }
+func BenchmarkTranslateRFFA128Secure(b *testing.B)    { benchTranslate(b, newRFFA128Secure, 0, 256) }
+func BenchmarkTranslateRFFA128SecureHit(b *testing.B) { benchTranslate(b, newRFFA128Secure, 256, 64) }
 
 // --- Ablations (DESIGN.md §5) --------------------------------------------------------
 
