@@ -2,6 +2,7 @@ package assert
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"securetlb/internal/tlb"
@@ -108,54 +109,51 @@ func TestCleanTrafficNoViolation(t *testing.T) {
 	}
 }
 
-// TestBindingComposition pins which assertions each design's capabilities
-// pull in.
+// TestBindingComposition pins the exact, ordered binding each design's
+// capabilities pull in: the order decides which breach a violation is
+// named after.
 func TestBindingComposition(t *testing.T) {
-	core := []string{
-		NameSingleTransition, NameLRUFreshness, NameNoDuplicateTag,
-		NameSetIndexConsistency, NameSecBitConfinement, NameStatsTally,
-		NameFlushCompleteness,
+	fa, err := tlb.NewFullyAssoc(32, testWalker())
+	if err != nil {
+		t.Fatal(err)
 	}
-	has := func(names []string, want string) bool {
-		for _, n := range names {
-			if n == want {
-				return true
-			}
-		}
-		return false
+	ri, err := tlb.NewRandIdx(32, 8, testWalker(), 1, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs, err := tlb.NewFlushOnSwitch(32, 8, testWalker())
+	if err != nil {
+		t.Fatal(err)
+	}
+	core := []string{
+		NameLRUFreshness, NameNoDuplicateTag, NameSetIndexConsistency,
+		NameSecBitConfinement, NameStatsTally, NameFlushCompleteness,
+	}
+	bind := func(extra ...string) []string {
+		return append(append([]string{NameSingleTransition}, extra...), core...)
 	}
 	cases := []struct {
-		design  tlb.TLB
-		extra   []string
-		excLude []string
+		design tlb.TLB
+		want   []string
 	}{
-		{newSA(t), nil, []string{NamePartitionConfinement, NameRNGStreamIntegrity}},
-		{newSP(t), []string{NamePartitionConfinement, NameNoCrossDomainEviction}, []string{NameRNGStreamIntegrity, NameNoFillOnSecureMiss}},
-		{newRF(t), []string{NameRNGStreamIntegrity, NameNoFillOnSecureMiss}, []string{NamePartitionConfinement, NameNoCrossDomainEviction}},
+		{newSA(t), bind()},
+		{fa, bind()},
+		{newSP(t), bind(NameNoCrossDomainEviction, NamePartitionConfinement)},
+		{newRF(t), bind(NameRNGStreamIntegrity, NameNoFillOnSecureMiss)},
+		{ri, bind(NameRekeyCompleteness)},
+		{fs, bind()},
 	}
 	for _, c := range cases {
-		names := BindingFor(c.design, true).Names()
-		for _, want := range core {
-			if !has(names, want) {
-				t.Errorf("%s: binding missing core assertion %s", c.design.Name(), want)
+		for _, cross := range []bool{false, true} {
+			want := c.want
+			if cross {
+				want = append(append([]string(nil), want...), NameTranslationCrossCheck)
+			}
+			got := BindingFor(c.design, cross).Names()
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Errorf("%s (cross-check %v): binding %v, want %v", c.design.Name(), cross, got, want)
 			}
 		}
-		if !has(names, NameTranslationCrossCheck) {
-			t.Errorf("%s: cross-check requested but not bound", c.design.Name())
-		}
-		for _, want := range c.extra {
-			if !has(names, want) {
-				t.Errorf("%s: binding missing capability assertion %s", c.design.Name(), want)
-			}
-		}
-		for _, not := range c.excLude {
-			if has(names, not) {
-				t.Errorf("%s: binding has %s despite the design lacking the capability", c.design.Name(), not)
-			}
-		}
-	}
-	if n := len(BindingFor(newSA(t), false).Names()); n != 7 {
-		t.Errorf("SA no-crosscheck binding has %d assertions, want the 7 core ones", n)
 	}
 }
 
@@ -340,14 +338,12 @@ func TestCloneWithKeepsChecking(t *testing.T) {
 }
 
 func TestWrapRejectsNonInspectable(t *testing.T) {
-	two, err := tlb.NewTwoLevel(func(w tlb.Walker) (tlb.TLB, error) {
-		return tlb.NewSetAssoc(32, 8, w)
-	}, newSA(t))
+	co, err := tlb.NewCoalesced(32, 8, 4, testWalker())
 	if err != nil {
-		t.Fatalf("cannot build two-level TLB: %v", err)
+		t.Fatalf("cannot build coalesced TLB: %v", err)
 	}
-	if _, err := Wrap(two, testWalker(), Options{}); err == nil {
-		t.Fatal("Wrap accepted a non-inspectable composition")
+	if _, err := Wrap(co, testWalker(), Options{}); err == nil {
+		t.Fatal("Wrap accepted a design with block entries")
 	}
 }
 
@@ -406,35 +402,43 @@ func TestEventStream(t *testing.T) {
 	}
 }
 
-// TestEventDomains pins the security-domain derivation on the RF design.
+// TestEventDomains pins the security-domain derivation on every design
+// with security registers, FS included.
 func TestEventDomains(t *testing.T) {
-	rf := newRF(t) // victim 1, secure region [0x100, 0x108)
-	var doms []Domain
-	m, err := Wrap(rf, testWalker(), Options{Tap: func(e Event) {
-		if e.Kind == KindMiss || e.Kind == KindHit {
-			doms = append(doms, e.Domain)
-		}
-	}})
+	fs, err := tlb.NewFlushOnSwitch(32, 8, testWalker())
 	if err != nil {
 		t.Fatal(err)
 	}
-	accesses := []struct {
-		asid tlb.ASID
-		vpn  tlb.VPN
-		want Domain
-	}{
-		{0, 0x50, DomainAttacker},
-		{1, 0x50, DomainVictim},
-		{1, 0x102, DomainSecure},
-	}
-	for _, a := range accesses {
-		if _, err := m.Translate(a.asid, a.vpn); err != nil {
+	fs.SetVictim(1)
+	fs.SetSecureRegion(0x100, 8)
+	for _, inner := range []tlb.TLB{newRF(t), fs} { // victim 1, secure region [0x100, 0x108)
+		var doms []Domain
+		m, err := Wrap(inner, testWalker(), Options{Tap: func(e Event) {
+			if e.Kind == KindMiss || e.Kind == KindHit {
+				doms = append(doms, e.Domain)
+			}
+		}})
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	for i, a := range accesses {
-		if doms[i] != a.want {
-			t.Errorf("access %d (asid %d vpn %#x): domain %s, want %s", i, a.asid, a.vpn, doms[i], a.want)
+		accesses := []struct {
+			asid tlb.ASID
+			vpn  tlb.VPN
+			want Domain
+		}{
+			{0, 0x50, DomainAttacker},
+			{1, 0x50, DomainVictim},
+			{1, 0x102, DomainSecure},
+		}
+		for _, a := range accesses {
+			if _, err := m.Translate(a.asid, a.vpn); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i, a := range accesses {
+			if doms[i] != a.want {
+				t.Errorf("%s access %d (asid %d vpn %#x): domain %s, want %s", inner.Name(), i, a.asid, a.vpn, doms[i], a.want)
+			}
 		}
 	}
 }
@@ -443,11 +447,11 @@ func TestEventDomains(t *testing.T) {
 // `% sets` mapping: the monitor must use the design's own SetIndex (mask at
 // power-of-two set counts), so high-bit VPNs can never make checker and TLB
 // disagree on set placement — and a non-power-of-two geometry keeps working
-// through the modulo path.
+// through the design's modulo path.
 func TestPow2SetIndexAgreement(t *testing.T) {
 	sa := newSA(t) // 32 entries, 8 ways -> 4 sets, power of two
 	for _, vpn := range []tlb.VPN{0, 3, 1 << 40, 1<<40 + 5, ^tlb.VPN(0) - 2} {
-		if got, want := sa.SetIndex(vpn), int(uint64(vpn)%4); got != want {
+		if got, want := sa.Capabilities().SetIndex(0, vpn), int(uint64(vpn)%4); got != want {
 			t.Errorf("SetIndex(%#x) = %d, want %d", vpn, got, want)
 		}
 	}
@@ -507,8 +511,8 @@ func TestTranslateZeroAlloc(t *testing.T) {
 }
 
 // fakeTLB is a minimal scripted design that exists only in this test: it
-// implements tlb.TLB + tlb.Inspectable plus the SetMapper and Partitioner
-// capabilities, proving an out-of-tree design gets the assertion battery
+// implements tlb.TLB + tlb.Inspectable and declares a set mapping and a
+// partition among its capabilities, proving an out-of-tree design gets the assertion battery
 // with zero bespoke checker code — including a non-standard (scrambled) set
 // mapping the monitor must follow rather than re-derive.
 type fakeTLB struct {
@@ -526,12 +530,20 @@ func newFake(ways, sets int) *fakeTLB {
 	return &fakeTLB{ways: ways, sets: sets, arr: make([]tlb.EntrySnapshot, ways*sets)}
 }
 
-// SetIndex implements assert.SetMapper with a deliberately scrambled mapping.
+// Capabilities implements tlb.Inspectable.
+func (f *fakeTLB) Capabilities() tlb.Capabilities {
+	return tlb.Capabilities{
+		SetIndex:  func(_ tlb.ASID, vpn tlb.VPN) int { return f.SetIndex(vpn) },
+		FillRange: f.FillRange,
+	}
+}
+
+// SetIndex is a deliberately scrambled set mapping.
 func (f *fakeTLB) SetIndex(vpn tlb.VPN) int {
 	return int((uint64(vpn) ^ uint64(vpn)>>3) % uint64(f.sets))
 }
 
-// FillRange implements assert.Partitioner: asid 1 owns the lower half.
+// FillRange is the partition: asid 1 owns the lower half.
 func (f *fakeTLB) FillRange(asid tlb.ASID) (int, int) {
 	if asid == 1 {
 		return 0, f.ways / 2

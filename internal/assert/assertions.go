@@ -11,24 +11,25 @@
 // operation's event stream (hit/miss/fill/evict/flush/..., each tagged with
 // set, way and security domain) and evaluates the design's assertion
 // binding over the array before and after. Which assertions bind is
-// decided by the capabilities the design declares:
+// decided by the capabilities the design declares in its one capability
+// view (tlb.Capabilities, supplied by the tlb package's array core):
 //
 //   - every inspectable design gets the core battery — single-transition,
 //     lru-freshness, no-duplicate-tag, set-index-consistency,
-//     sec-bit-confinement, stats-tally, flush-completeness;
-//   - designs exposing a fill partition (assert.Partitioner, the SP TLB) add
+//     sec-bit-confinement, stats-tally, flush-completeness — checked
+//     against the design's own set mapping (SetIndex);
+//   - designs exposing a fill partition (FillRange, the SP TLB) add
 //     partition-confinement and no-cross-domain-eviction;
-//   - designs exposing a random-fill prediction (assert.RandomFillPredictor,
-//     the RF TLB) add rng-stream-integrity and no-fill-on-secure-miss;
-//   - designs exposing a cipher-keyed set mapping (assert.KeyedIndexer, the
-//     RI TLB) add rekey-completeness, and the monitor's set dispatch — used
-//     by set-index-consistency and every placement check — switches to the
-//     design's keyed mapping;
-//   - designs that flush themselves mid-stream (assert.AutoFlusher — the RI
+//   - designs exposing a random-fill prediction (PredictRandomFill, the RF
+//     TLB) add rng-stream-integrity and no-fill-on-secure-miss;
+//   - designs exposing a re-keyed index (Rekey, the RI TLB) add
+//     rekey-completeness;
+//   - designs that flush themselves mid-stream (PendingAutoFlush — the RI
 //     TLB's re-key flush, the FS TLB's switch and secure-exit flushes) move
 //     the transition-shape assertions to a flush-then-install arm, and a
-//     switch-flushing design additionally arms flush-completeness's
-//     per-access residency check (only the current context may be resident);
+//     switch-flushing design (PendingSwitchFlush) additionally arms
+//     flush-completeness's per-access residency check (only the current
+//     context may be resident);
 //   - translation-cross-check joins any binding when Options.CrossCheck is
 //     set.
 //
@@ -129,17 +130,21 @@ func (b Binding) Names() []string {
 // extra walk).
 func BindingFor(t tlb.TLB, crossCheck bool) Binding {
 	b := Binding{Design: t.Name()}
+	var caps tlb.Capabilities
+	if insp, ok := t.(tlb.Inspectable); ok {
+		caps = insp.Capabilities()
+	}
 	b.Assertions = append(b.Assertions, SingleTransition)
-	if _, ok := t.(RandomFillPredictor); ok {
+	if caps.PredictRandomFill != nil {
 		b.Assertions = append(b.Assertions, RNGStreamIntegrity, NoFillOnSecureMiss)
 	}
-	if _, ok := t.(KeyedIndexer); ok {
+	if caps.Rekey != nil {
 		// Before the structural checks, so a stuck key or incomplete re-key
 		// flush is named as the re-key breach it is rather than a generic
 		// placement anomaly.
 		b.Assertions = append(b.Assertions, RekeyCompleteness)
 	}
-	if _, ok := t.(Partitioner); ok {
+	if caps.FillRange != nil {
 		// Displacement first, so evicting a resident cross-partition entry
 		// is named as the eviction breach it is; installs into empty
 		// out-of-range ways then fall to partition-confinement.
@@ -223,7 +228,7 @@ var (
 		CheckFlush: checkFlushCompleteness,
 	}
 
-	// RekeyCompleteness (KeyedIndexer designs): a re-key advances the epoch
+	// RekeyCompleteness (Rekey designs): a re-key advances the epoch
 	// by exactly one, installs exactly the key the key stream prescribes,
 	// and erases every pre-re-key entry; outside a re-key the key never
 	// moves.
@@ -233,7 +238,7 @@ var (
 		Check: checkRekeyCompleteness,
 	}
 
-	// PartitionConfinement (Partitioner designs): every install lands inside
+	// PartitionConfinement (FillRange designs): every install lands inside
 	// the filling process's declared way range.
 	PartitionConfinement = Assertion{
 		Name:  NamePartitionConfinement,
@@ -241,7 +246,7 @@ var (
 		Check: checkPartitionConfinement,
 	}
 
-	// NoCrossDomainEviction (Partitioner designs): an access never displaces
+	// NoCrossDomainEviction (FillRange designs): an access never displaces
 	// an entry from a slot outside the requester's own partition.
 	NoCrossDomainEviction = Assertion{
 		Name:  NameNoCrossDomainEviction,
@@ -249,7 +254,7 @@ var (
 		Check: checkNoCrossDomainEviction,
 	}
 
-	// RNGStreamIntegrity (RandomFillPredictor designs): every random fill
+	// RNGStreamIntegrity (PredictRandomFill designs): every random fill
 	// installs exactly the D' the engine's PRNG stream prescribes.
 	RNGStreamIntegrity = Assertion{
 		Name:  NameRNGStreamIntegrity,
@@ -257,7 +262,7 @@ var (
 		Check: checkRNGStreamIntegrity,
 	}
 
-	// NoFillOnSecureMiss (RandomFillPredictor designs): a secure-region miss
+	// NoFillOnSecureMiss (PredictRandomFill designs): a secure-region miss
 	// never installs the requested secret translation.
 	NoFillOnSecureMiss = Assertion{
 		Name:  NameNoFillOnSecureMiss,
@@ -412,7 +417,7 @@ func (a *Access) checkAutoFlushTransition() error {
 		return a.failf(NameSingleTransition, "fill after a design-initiated flush installed asid %d vpn %#x ppn %#x, want asid %d vpn %#x ppn %#x",
 			e.ASID, e.VPN, e.PPN, a.ASID, a.VPN, a.Res.PPN)
 	}
-	if want := m.indexFor(a.ASID, a.VPN); idx/m.ways != want {
+	if want := m.caps.SetIndex(a.ASID, a.VPN); idx/m.ways != want {
 		return a.failf(NameSingleTransition, "fill after a design-initiated flush landed in set %d, the design's mapping indexes set %d", idx/m.ways, want)
 	}
 	return nil
@@ -595,12 +600,12 @@ func checkNoDuplicateTag(a *Access) error {
 
 func checkSetIndexConsistency(a *Access) error {
 	m := a.m
-	i := m.firstBad(func(e *tlb.EntrySnapshot, set int) bool { return m.indexFor(e.ASID, e.VPN) != set })
+	i := m.firstBad(func(e *tlb.EntrySnapshot, set int) bool { return m.caps.SetIndex(e.ASID, e.VPN) != set })
 	if i < 0 {
 		return nil
 	}
 	e := &m.mirror[i]
-	return a.failf(NameSetIndexConsistency, "entry for vpn %#x resides in set %d, indexes set %d", e.VPN, i/m.ways, m.indexFor(e.ASID, e.VPN))
+	return a.failf(NameSetIndexConsistency, "entry for vpn %#x resides in set %d, indexes set %d", e.VPN, i/m.ways, m.caps.SetIndex(e.ASID, e.VPN))
 }
 
 func checkSecBitConfinement(a *Access) error {
@@ -664,7 +669,7 @@ func checkFlushCompleteness(f *FlushInfo) error {
 // exactly the residue a dropped flush strobe leaves behind.
 func checkFlushResidency(a *Access) error {
 	m := a.m
-	if m.swf == nil {
+	if m.caps.PendingSwitchFlush == nil {
 		return nil
 	}
 	for i := range m.mirror {
@@ -721,7 +726,7 @@ func checkPartitionConfinement(a *Access) error {
 		if e.Way < 0 {
 			continue // dropped install: single-transition's finding
 		}
-		lo, hi := a.m.part.FillRange(e.ASID)
+		lo, hi := a.m.caps.FillRange(e.ASID)
 		if e.Way < lo || e.Way >= hi {
 			return a.failf(NamePartitionConfinement, "%s for asid %d vpn %#x landed in way %d, outside its partition [%d,%d)", e.Kind, e.ASID, e.VPN, e.Way, lo, hi)
 		}
@@ -734,7 +739,7 @@ func checkNoCrossDomainEviction(a *Access) error {
 		return nil
 	}
 	m := a.m
-	lo, hi := m.part.FillRange(a.ASID)
+	lo, hi := m.caps.FillRange(a.ASID)
 	for _, i := range a.Diffs() {
 		p := a.pre(i)
 		if !p.Valid {
@@ -764,7 +769,7 @@ func checkRNGStreamIntegrity(a *Access) error {
 		// fills; anything else is a suppressed fill that silently skews the
 		// array's occupancy. The monitor's own walk of D' distinguishes the
 		// two — it never touches TLB state.
-		if a.m.starver != nil && a.m.starver.RandomFillMayStarve() {
+		if a.m.caps.RandomFillMayStarve != nil && a.m.caps.RandomFillMayStarve() {
 			return nil
 		}
 		if a.m.walker == nil {

@@ -136,8 +136,7 @@ func (lt *logTwins) step(op, arg byte) (monitored bool, err error) {
 				rs.Reseed(uint64(arg))
 			}
 		}
-		_, keyed := lt.raw.(KeyedIndexer)
-		lt.fault = lt.fault || keyed
+		lt.fault = lt.fault || lt.raw.(tlb.Inspectable).Capabilities().Rekey != nil
 		return false, nil
 	case 11:
 		// An in-array bit error, outside the monitor.

@@ -7,82 +7,6 @@ import (
 	"securetlb/internal/tlb"
 )
 
-// SetMapper is the capability exposing a design's VPN-to-set mapping. The
-// monitor validates set placement with the design's own mapping — never a
-// private re-derivation — so checker and design cannot disagree (a
-// power-of-two geometry masks, others reduce modulo, and a future
-// randomized-index design will hash; all are equally checkable).
-type SetMapper interface {
-	SetIndex(vpn tlb.VPN) int
-}
-
-// Partitioner is the capability exposing a design's fill-confinement policy:
-// the way range [lo, hi) that installs (and therefore evictions) caused by
-// asid must stay inside. Declaring it binds the partition-confinement and
-// no-cross-domain-eviction assertions.
-type Partitioner interface {
-	FillRange(asid tlb.ASID) (lo, hi int)
-}
-
-// RandomFillPredictor is the capability exposing a random-fill engine's next
-// decision without perturbing it. Declaring it binds the
-// rng-stream-integrity and no-fill-on-secure-miss assertions.
-type RandomFillPredictor interface {
-	PredictNextRandomFill(asid tlb.ASID, vpn tlb.VPN) (tlb.VPN, bool, error)
-}
-
-// KeyedIndexer is the capability exposing a randomized-index design's
-// cipher-keyed (ASID, VPN)-to-set mapping and its re-key machinery. A keyed
-// design deliberately does not declare SetMapper — its placement is not a
-// function of the VPN alone — so declaring this capability replaces the
-// monitor's unkeyed set dispatch AND binds the rekey-completeness assertion.
-type KeyedIndexer interface {
-	// KeyedSetIndex is the design's own keyed set mapping.
-	KeyedSetIndex(asid tlb.ASID, vpn tlb.VPN) int
-	// IndexKey returns the current epoch key.
-	IndexKey() uint64
-	// RekeyEpoch returns the re-key generation counter; it advances exactly
-	// when a re-key happens.
-	RekeyEpoch() uint64
-	// PendingRekey reports, side-effect-free, whether the next lookup will
-	// re-key before its probe.
-	PendingRekey() bool
-	// PredictNextKey replays the key stream's next draw on a clone of the
-	// generator: the key a fault-free re-key would install.
-	PredictNextKey() uint64
-}
-
-// AutoFlusher is the capability of designs that flush themselves from inside
-// Translate — the RI TLB's re-key flush and the FS TLB's switch/secure-exit
-// flush. PendingAutoFlush predicts, side-effect-free, whether the next
-// lookup for (asid, vpn) begins with a design-initiated full flush, letting
-// the transition-shape assertions switch to their flush-then-install arm.
-type AutoFlusher interface {
-	PendingAutoFlush(asid tlb.ASID, vpn tlb.VPN) bool
-}
-
-// switchFlusher is the capability of designs that flush on a CSR-delivered
-// context switch (the FS TLB). Declaring it arms the monitor's ObserveASID
-// post-check and the per-access arm of flush-completeness: after any access,
-// only the current context's entries may be resident.
-type switchFlusher interface {
-	PendingSwitchFlush(next tlb.ASID) bool
-}
-
-// victimReporter reports whether a security design currently has a victim
-// designated (SP and RF both expose HasVictim).
-type victimReporter interface {
-	HasVictim() bool
-}
-
-// fillStarver reports whether a random-fill engine may currently starve
-// (skip) a prescribed fill for legitimate reasons — the RF design's
-// ablation-only lazy mode. While it may, the suppressed-fill arm of the
-// rng-stream-integrity assertion stands down.
-type fillStarver interface {
-	RandomFillMayStarve() bool
-}
-
 // Options configures a Monitor.
 type Options struct {
 	// CrossCheck binds the translation-cross-check assertion: every
@@ -127,18 +51,12 @@ type Monitor struct {
 	opts   Options
 	design string
 
-	// Capability views of the inner design; nil when not declared.
-	sec     tlb.SecureTLB
-	part    Partitioner
-	pred    RandomFillPredictor
-	vic     victimReporter
-	starver fillStarver
-	keyed   KeyedIndexer
-	auto    AutoFlusher
-	swf     switchFlusher
-	aobs    tlb.ASIDObserver
+	// sec forwards the security registers and aobs context switches, when
+	// the inner design has them; caps is its policy.
+	sec  tlb.SecureTLB
+	aobs tlb.ASIDObserver
+	caps tlb.Capabilities
 
-	setIdx              func(tlb.VPN) int
 	entries, ways, sets int
 
 	binding Binding
@@ -209,20 +127,8 @@ func Wrap(t tlb.TLB, walker tlb.Walker, opts Options) (*Monitor, error) {
 	}
 	m.sets = m.entries / m.ways
 	m.sec, _ = t.(tlb.SecureTLB)
-	m.part, _ = t.(Partitioner)
-	m.pred, _ = t.(RandomFillPredictor)
-	m.vic, _ = t.(victimReporter)
-	m.starver, _ = t.(fillStarver)
-	m.keyed, _ = t.(KeyedIndexer)
-	m.auto, _ = t.(AutoFlusher)
-	m.swf, _ = t.(switchFlusher)
 	m.aobs, _ = t.(tlb.ASIDObserver)
-	if sm, ok := t.(SetMapper); ok {
-		m.setIdx = sm.SetIndex
-	} else {
-		sets := uint64(m.sets)
-		m.setIdx = func(vpn tlb.VPN) int { return int(uint64(vpn) % sets) }
-	}
+	m.caps = insp.Capabilities()
 	m.binding = BindingFor(t, opts.CrossCheck)
 	m.events = make([]Event, 0, 8)
 	m.mirror = make([]tlb.EntrySnapshot, m.entries)
@@ -309,12 +215,13 @@ type legality struct {
 // legality reads the inner design's current register state.
 func (m *Monitor) legality() legality {
 	var l legality
-	if m.sec != nil && m.vic != nil && m.vic.HasVictim() {
-		l.victim, l.hasVictim = m.sec.Victim(), true
-		l.sbase, l.ssize = m.sec.SecureRegion()
+	if m.caps.Registers != nil {
+		if victim, has, sbase, ssize := m.caps.Registers(); has {
+			l.victim, l.hasVictim, l.sbase, l.ssize = victim, true, sbase, ssize
+		}
 	}
-	if m.keyed != nil {
-		l.key = m.keyed.IndexKey()
+	if m.caps.Rekey != nil {
+		l.key, _, _ = m.caps.Rekey()
 	}
 	return l
 }
@@ -377,25 +284,19 @@ func (m *Monitor) Binding() Binding { return m.binding }
 // domainOf derives the security domain of (asid, vpn) from the inner
 // design's security registers.
 func (m *Monitor) domainOf(asid tlb.ASID, vpn tlb.VPN) Domain {
-	if m.sec == nil || m.vic == nil || !m.vic.HasVictim() {
+	if m.caps.Registers == nil {
 		return DomainNone
 	}
-	if asid != m.sec.Victim() {
+	victim, has, sbase, ssize := m.caps.Registers()
+	switch {
+	case !has:
+		return DomainNone
+	case asid != victim:
 		return DomainAttacker
-	}
-	if sbase, ssize := m.sec.SecureRegion(); ssize > 0 && vpn >= sbase && uint64(vpn-sbase) < ssize {
+	case ssize > 0 && vpn >= sbase && uint64(vpn-sbase) < ssize:
 		return DomainSecure
 	}
 	return DomainVictim
-}
-
-// indexFor is the monitor's set dispatch: the design's keyed mapping when it
-// declares one, its plain SetMapper (or the modulo fallback) otherwise.
-func (m *Monitor) indexFor(asid tlb.ASID, vpn tlb.VPN) int {
-	if m.keyed != nil {
-		return m.keyed.KeyedSetIndex(asid, vpn)
-	}
-	return m.setIdx(vpn)
 }
 
 // emit appends an event to the current operation's stream and feeds the tap.
@@ -425,13 +326,13 @@ type Access struct {
 	PredOK   bool
 
 	// AutoFlush reports that the design predicted a design-initiated full
-	// flush at the start of this access (AutoFlusher capability): the
+	// flush at the start of this access (PendingAutoFlush capability): the
 	// transition-shape assertions switch to their flush-then-install arm.
 	AutoFlush bool
 
 	// PreEpoch/PostEpoch and PreKey/PostKey frame a keyed design's re-key
 	// state around the access; PredKey is the key a fault-free re-key would
-	// install. KeyedOK reports that the design declared a KeyedIndexer.
+	// install. KeyedOK reports that the design declared Rekey.
 	PreEpoch, PostEpoch uint64
 	PreKey, PostKey     uint64
 	PredKey             uint64
@@ -481,7 +382,7 @@ func (a *Access) findPost(asid tlb.ASID, vpn tlb.VPN) int {
 		}
 	}
 	m := a.m
-	s := m.indexFor(asid, vpn)
+	s := m.caps.SetIndex(asid, vpn)
 	idx := -1
 	for w := 0; w < m.ways; w++ {
 		i := s*m.ways + w
@@ -500,8 +401,8 @@ func (a *Access) findPost(asid tlb.ASID, vpn tlb.VPN) int {
 // fillRange returns the way range [lo, hi) a fill from asid must target: the
 // design's declared partition when it has one, the whole set otherwise.
 func (a *Access) fillRange(asid tlb.ASID) (lo, hi int) {
-	if a.m.part != nil {
-		return a.m.part.FillRange(asid)
+	if a.m.caps.FillRange != nil {
+		return a.m.caps.FillRange(asid)
 	}
 	return 0, a.m.ways
 }
@@ -564,23 +465,22 @@ func (m *Monitor) Translate(asid tlb.ASID, vpn tlb.VPN) (tlb.Result, error) {
 	a.ASID, a.VPN = asid, vpn
 	a.PredVPN, a.PredFill, a.PredOK = 0, false, false
 	a.AutoFlush, a.KeyedOK = false, false
-	if m.pred != nil {
+	if c := &m.caps; c.PredictRandomFill != nil {
 		// Predict the Random Fill Engine's draw before the access so a
 		// biased or stuck RNG is exposed by comparing prediction and
 		// outcome.
-		a.PredVPN, a.PredFill, _ = m.pred.PredictNextRandomFill(asid, vpn)
+		a.PredVPN, a.PredFill, _ = c.PredictRandomFill(asid, vpn)
 		a.PredOK = true
 	}
-	if m.auto != nil {
-		a.AutoFlush = m.auto.PendingAutoFlush(asid, vpn)
+	if m.caps.PendingAutoFlush != nil {
+		a.AutoFlush = m.caps.PendingAutoFlush(asid, vpn)
 	}
-	if m.keyed != nil {
+	if m.caps.Rekey != nil {
 		// Frame the re-key state before the access: the epoch and key now,
 		// and the key a fault-free re-key would draw next. Comparing the
 		// post-access key against the prediction exposes a stuck key
 		// register even though the array flush itself went through.
-		a.PreEpoch, a.PreKey = m.keyed.RekeyEpoch(), m.keyed.IndexKey()
-		a.PredKey = m.keyed.PredictNextKey()
+		a.PreKey, a.PreEpoch, a.PredKey = m.caps.Rekey()
 		a.KeyedOK = true
 	}
 
@@ -588,8 +488,8 @@ func (m *Monitor) Translate(asid tlb.ASID, vpn tlb.VPN) (tlb.Result, error) {
 	m.beginOp()
 	m.apply(true)
 	m.Checks++
-	if m.keyed != nil {
-		a.PostEpoch, a.PostKey = m.keyed.RekeyEpoch(), m.keyed.IndexKey()
+	if a.KeyedOK {
+		a.PostKey, a.PostEpoch, _ = m.caps.Rekey()
 	}
 
 	a.Res, a.Err = res, err
@@ -640,7 +540,7 @@ func (m *Monitor) deriveEvents(a *Access) {
 	if a.AutoFlush {
 		m.emit(Event{Kind: KindAutoFlush, ASID: a.ASID, VPN: a.VPN, Set: -1, Way: -1, Domain: a.Domain})
 	}
-	set := m.indexFor(a.ASID, a.VPN)
+	set := m.caps.SetIndex(a.ASID, a.VPN)
 	switch {
 	case a.Err != nil:
 		m.emit(Event{Kind: KindError, ASID: a.ASID, VPN: a.VPN, Set: set, Way: -1, Domain: a.Domain})
@@ -656,7 +556,7 @@ func (m *Monitor) deriveEvents(a *Access) {
 		case a.Res.RandomFilled:
 			// The RF TLB reports at most one eviction per access: the one
 			// its D' install caused.
-			rset, rway := m.indexFor(a.ASID, a.Res.RandomVPN), -1
+			rset, rway := m.caps.SetIndex(a.ASID, a.Res.RandomVPN), -1
 			if i := a.findPost(a.ASID, a.Res.RandomVPN); i >= 0 {
 				rset, rway = i/m.ways, i%m.ways
 			}
@@ -801,7 +701,7 @@ func (m *Monitor) SecureRegion() (tlb.VPN, uint64) {
 // ObserveASID implements tlb.ASIDObserver, forwarding the context switch to
 // the inner design when it observes switches and doing nothing otherwise (so
 // a wrapped design sees exactly the CSR traffic an unwrapped one would).
-// When the design declares a switch flush (switchFlusher), the monitor
+// When the design declares a switch flush (PendingSwitchFlush), the monitor
 // predicts it before forwarding and verifies afterwards that the flush was
 // complete — the SIMF semantics say the erasure must happen at the switch
 // itself, not at some later access. Violations found here surface through
@@ -810,7 +710,7 @@ func (m *Monitor) ObserveASID(next tlb.ASID) {
 	if m.aobs == nil {
 		return
 	}
-	pending := m.swf != nil && m.swf.PendingSwitchFlush(next)
+	pending := m.caps.PendingSwitchFlush != nil && m.caps.PendingSwitchFlush(next)
 	m.aobs.ObserveASID(next)
 	m.apply(false)
 	m.allDirty = true

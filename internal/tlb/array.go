@@ -196,14 +196,6 @@ func (a *array) find(s int, asid ASID, vpn VPN) int {
 	return hit
 }
 
-// lruWay returns the way a fill into set s would evict.
-func (a *array) lruWay(s int) int {
-	if a.scan {
-		return scanVictim(a.sets[s])
-	}
-	return a.ix.victim(s, 0, a.geom.ways)
-}
-
 // install writes the valid entry v into e, which is way w of set s
 // (&a.sets[s][w], which the caller already holds), replacing what was
 // there. A scanning array with no log only stores; the index and the log
@@ -477,18 +469,4 @@ func scanSetIn(set []entry, asid ASID, vpn VPN, lo, hi int) (hit, victim int) {
 		return -1, inv
 	}
 	return -1, victim
-}
-
-// scanVictim returns the fill victim of set by a scan.
-func scanVictim(set []entry) int {
-	victim, oldest := 0, ^uint64(0)
-	for w := range set {
-		if !set[w].valid {
-			return w
-		}
-		if set[w].stamp < oldest {
-			victim, oldest = w, set[w].stamp
-		}
-	}
-	return victim
 }

@@ -1,97 +1,70 @@
 package tlb
 
-// This file is the design-capability surface consumed by the declarative
-// security-assertion layer (internal/assert). Each method exposes one piece
-// of a design's policy — the set mapping, the fill partition, the random-fill
-// prediction — so assertions written once against these capabilities apply to
-// any design that declares them, instead of the checker re-deriving (and
-// possibly contradicting) the policy from the outside.
-
-// SetIndex exposes the design's VPN-to-set mapping, including the
-// power-of-two mask fast path of geometry.setIndex. External observers
-// (the assertion monitor) must use this rather than computing their own
-// modulo so checker and design can never disagree on set placement.
-func (t *SetAssoc) SetIndex(vpn VPN) int { return t.geom.setIndex(vpn) }
-
-// SetIndex exposes the SP TLB's VPN-to-set mapping (see SetAssoc.SetIndex).
-func (t *SP) SetIndex(vpn VPN) int { return t.geom.setIndex(vpn) }
-
-// SetIndex exposes the RF TLB's VPN-to-set mapping (see SetAssoc.SetIndex).
-func (t *RF) SetIndex(vpn VPN) int { return t.geom.setIndex(vpn) }
-
-// FillRange exposes the SP TLB's partition policy: the way range [lo, hi)
-// that fills (and therefore evictions) from asid must stay inside. This is
-// the design's own partition function, so the assertion layer checks the
-// policy the hardware actually enforces — with no victim designated, every
-// process fills the attacker partition, exactly as Translate does.
-func (t *SP) FillRange(asid ASID) (lo, hi int) { return t.partition(asid) }
-
-// PredictNextRandomFill replays the Random Fill Engine's decision for an
-// access to (asid, vpn) against the TLB's current state on a clone of the
-// generator, leaving the live RNG stream untouched. It returns the D' a
-// fault-free RFE would install next and whether a random fill would be
-// attempted at all. Call it immediately before Translate; comparing the
-// prediction against the access's Result exposes a biased or stuck RNG.
-func (t *RF) PredictNextRandomFill(asid ASID, vpn VPN) (VPN, bool, error) {
-	g := t.RNGClone()
-	return t.PredictRandomFill(&g, asid, vpn)
+// Capabilities is a design's policy as the declarative security-assertion
+// layer (internal/assert) reads it, so that assertions written once apply
+// to every design, and checker and design can never disagree. SetIndex is
+// always set; any other nil field is a policy the design does not have,
+// and the assertions that speak about it do not bind.
+type Capabilities struct {
+	// SetIndex maps (asid, vpn) to the set a lookup searches: the low page
+	// index bits (a mask at power-of-two set counts), or the RI TLB's
+	// cipher-keyed mapping, which is why it takes the ASID.
+	SetIndex func(asid ASID, vpn VPN) int
+	// FillRange is the SP TLB's partition: the way range [lo, hi) that
+	// fills (and so evictions) from asid stay inside. With no victim
+	// designated every process fills the attacker partition.
+	FillRange func(asid ASID) (lo, hi int)
+	// Registers reads the security registers (SP, RF and FS).
+	Registers func() (victim ASID, hasVictim bool, sbase VPN, ssize uint64)
+	// PredictRandomFill replays the RF TLB's Random Fill Engine decision
+	// for an access to (asid, vpn) against the current state on a copy of
+	// its generator, leaving the live stream untouched: the D' a
+	// fault-free engine would install, and whether it would attempt a
+	// random fill at all. Call it immediately before Translate.
+	PredictRandomFill func(asid ASID, vpn VPN) (VPN, bool, error)
+	// RandomFillMayStarve reports whether the ablation-only lazy fill
+	// engine is enabled, so a prescribed random fill may be skipped.
+	RandomFillMayStarve func() bool
+	// Rekey reports the RI TLB's current index key and re-key epoch, and
+	// the key a fault-free re-key would install next.
+	Rekey func() (key, epoch, next uint64)
+	// PendingAutoFlush reports, side-effect-free, whether the next lookup
+	// for (asid, vpn) begins with a design-initiated full flush: an RI
+	// re-key that is due, or an FS context switch the CSR path has not yet
+	// delivered or secure-region exit.
+	PendingAutoFlush func(asid ASID, vpn VPN) bool
+	// PendingSwitchFlush reports whether ObserveASID(next) will flush the
+	// FS TLB's array.
+	PendingSwitchFlush func(next ASID) bool
 }
 
-// RandomFillMayStarve reports whether the ablation-only lazy fill engine is
-// enabled, in which case a prescribed random fill may legitimately be
-// starved and skipped. The assertion layer's suppressed-fill check stands
-// down while this is true.
-func (t *RF) RandomFillMayStarve() bool { return t.LazyFill }
-
-// KeyedSetIndex exposes the RI TLB's cipher-keyed (ASID, VPN)-to-set
-// mapping. The RI TLB deliberately does not bind the plain SetIndex
-// capability: its placement is not a function of the VPN alone, and an
-// assertion that assumed so would contradict the design it checks. The
-// key-aware checker must call this instead.
-func (t *RandIdx) KeyedSetIndex(asid ASID, vpn VPN) int { return t.index(asid, vpn) }
-
-// IndexKey exposes the current epoch key so the assertion layer can verify
-// a re-key actually changed (or kept) the mapping.
-func (t *RandIdx) IndexKey() uint64 { return t.key }
-
-// RekeyEpoch exposes the re-key generation counter; it advances exactly
-// when a re-key happens.
-func (t *RandIdx) RekeyEpoch() uint64 { return t.epoch }
-
-// PendingRekey reports whether the next lookup will re-key before its
-// probe. It is side-effect-free; the assertion layer calls it immediately
-// before Translate to predict the epoch transition.
-func (t *RandIdx) PendingRekey() bool { return t.rekeyDue() }
-
-// PredictNextKey replays the key stream's next draw on a clone of the
-// generator, leaving the live stream untouched: the key a fault-free
-// re-key would install. Comparing it against IndexKey after a re-key
-// exposes a stuck key register.
-func (t *RandIdx) PredictNextKey() uint64 {
-	g := *t.rng
-	return g.Uint64()
-}
-
-// PendingAutoFlush reports whether the next lookup for (asid, vpn) will
-// begin with a design-initiated full flush — for the RI TLB, a due re-key.
-func (t *RandIdx) PendingAutoFlush(asid ASID, vpn VPN) bool { return t.rekeyDue() }
-
-// PendingAutoFlush reports whether the next lookup for (asid, vpn) will
-// begin with a design-initiated full flush: a context switch the CSR path
-// has not yet delivered, or a secure-region exit by the current context.
-func (t *FlushOnSwitch) PendingAutoFlush(asid ASID, vpn VPN) bool {
-	if t.hasCur && asid != t.cur {
-		return true
+// Capabilities implements Inspectable.
+func (c *core) Capabilities() Capabilities {
+	cp := Capabilities{SetIndex: c.setFor}
+	if c.split > 0 {
+		cp.FillRange = c.fillRange
 	}
-	return t.lastSecure && !t.secure(asid, vpn)
+	if c.rf != nil || c.fs != nil || c.split > 0 {
+		cp.Registers = func() (ASID, bool, VPN, uint64) {
+			return c.reg.victim, c.reg.hasVictim, c.reg.sbase, c.reg.ssize
+		}
+	}
+	if c.rf != nil {
+		cp.PredictRandomFill = c.predictRandomFill
+		cp.RandomFillMayStarve = func() bool { return c.rf.LazyFill }
+	}
+	if c.ri != nil {
+		cp.Rekey = func() (uint64, uint64, uint64) {
+			g := c.ri.rng
+			return c.ri.key, c.ri.epoch, g.Uint64()
+		}
+		cp.PendingAutoFlush = func(ASID, VPN) bool { return c.ri.due() }
+	}
+	if fs := c.fs; fs != nil {
+		cp.PendingAutoFlush = func(asid ASID, vpn VPN) bool {
+			return fs.hasCur && asid != fs.cur || fs.lastSecure && !c.reg.secure(asid, vpn)
+		}
+		cp.PendingSwitchFlush = func(next ASID) bool { return fs.hasCur && next != fs.cur }
+	}
+	return cp
 }
-
-// PendingSwitchFlush reports whether an ObserveASID(next) call will flush
-// the array. The assertion layer uses it to check flush completeness at
-// the switch itself, where the SIMF semantics say the erasure must happen.
-func (t *FlushOnSwitch) PendingSwitchFlush(next ASID) bool {
-	return t.hasCur && next != t.cur
-}
-
-// SetIndex exposes the FS TLB's VPN-to-set mapping (see SetAssoc.SetIndex).
-func (t *FlushOnSwitch) SetIndex(vpn VPN) int { return t.geom.setIndex(vpn) }

@@ -28,55 +28,6 @@ func Clone(t TLB, w Walker) (TLB, error) {
 	return n, nil
 }
 
-// CloneWith implements Cloner. Fault hooks are per-instance campaign state
-// and are deliberately not inherited.
-func (t *SetAssoc) CloneWith(w Walker) TLB {
-	n := *t
-	n.walker = w
-	n.array = t.clone()
-	return &n
-}
-
-// CloneWith implements Cloner. Fault hooks are not inherited.
-func (t *SP) CloneWith(w Walker) TLB {
-	n := *t
-	n.walker = w
-	n.array = t.clone()
-	return &n
-}
-
-// CloneWith implements Cloner. The clone's Random Fill Engine continues the
-// original's PRNG stream from its current state; campaigns that need
-// per-trial reproducibility reseed per trial as usual.
-func (t *RF) CloneWith(w Walker) TLB {
-	n := *t
-	n.walker = w
-	n.array = t.clone()
-	rngCopy := *t.rng
-	n.rng = &rngCopy
-	return &n
-}
-
-// CloneWith implements Cloner. The clone's key stream continues the
-// original's PRNG state; campaigns that need per-trial reproducibility
-// reseed per trial as usual. Fault hooks are not inherited.
-func (t *RandIdx) CloneWith(w Walker) TLB {
-	n := *t
-	n.walker = w
-	n.array = t.clone()
-	rngCopy := *t.rng
-	n.rng = &rngCopy
-	return &n
-}
-
-// CloneWith implements Cloner. Fault hooks are not inherited.
-func (t *FlushOnSwitch) CloneWith(w Walker) TLB {
-	n := *t
-	n.walker = w
-	n.array = t.clone()
-	return &n
-}
-
 // CloneWith implements Cloner.
 func (t *Coalesced) CloneWith(w Walker) TLB {
 	n := *t
@@ -88,30 +39,4 @@ func (t *Coalesced) CloneWith(w Walker) TLB {
 		copy(n.sets[i], t.sets[i])
 	}
 	return &n
-}
-
-// CloneWith implements Cloner when both levels do: the L2 is cloned over the
-// new walker and the L1 over a delegate walker into the cloned L2 (the same
-// wiring NewTwoLevel builds). It returns nil if either level cannot clone.
-func (t *TwoLevel) CloneWith(w Walker) TLB {
-	l2c, ok := t.l2.(Cloner)
-	if !ok {
-		return nil
-	}
-	l1c, ok := t.l1.(Cloner)
-	if !ok {
-		return nil
-	}
-	l2 := l2c.CloneWith(w)
-	if l2 == nil {
-		return nil
-	}
-	l1 := l1c.CloneWith(WalkerFunc(func(asid ASID, vpn VPN) (PPN, uint64, error) {
-		r, err := l2.Translate(asid, vpn)
-		return r.PPN, r.Cycles, err
-	}))
-	if l1 == nil {
-		return nil
-	}
-	return &TwoLevel{l1: l1, l2: l2}
 }

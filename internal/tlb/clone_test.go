@@ -65,11 +65,6 @@ func TestCloneReplaysIdentically(t *testing.T) {
 			return fs
 		}},
 		{"Coalesced", func() TLB { co, _ := NewCoalesced(16, 4, 4, w); return co }},
-		{"TwoLevel", func() TLB {
-			l2, _ := NewSetAssoc(32, 4, w)
-			tl, _ := NewTwoLevel(func(inner Walker) (TLB, error) { return NewSetAssoc(8, 2, inner) }, l2)
-			return tl
-		}},
 	}
 	for _, b := range builders {
 		t.Run(b.name, func(t *testing.T) {
@@ -134,14 +129,6 @@ func TestCloneRejectsNonCloneable(t *testing.T) {
 	var fake fakeTLB
 	if _, err := Clone(&fake, cloneWalker()); err == nil {
 		t.Error("Clone should reject designs without CloneWith")
-	}
-	// A TwoLevel over a non-cloneable level must error, not panic.
-	tl, err := NewTwoLevel(func(inner Walker) (TLB, error) { return NewSetAssoc(8, 2, inner) }, &fake)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Clone(tl, cloneWalker()); err == nil {
-		t.Error("Clone should reject hierarchies with non-cloneable levels")
 	}
 }
 

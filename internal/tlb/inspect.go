@@ -1,13 +1,15 @@
 package tlb
 
 // This file is the introspection and fault-injection surface of the TLB
-// designs: a read-only snapshot of the array, a write log that reports every
-// later entry write (for the security-assertion monitor in internal/assert,
-// which keeps its own copy of the array from it), a controlled mutation
-// entry point (for the deterministic fault campaigns in
-// internal/faultinject), and a per-design FaultHook intercepting the
+// designs, which the one array core (core.go) implements for all five
+// single-array designs: a read-only snapshot of the array, a write log that
+// reports every later entry write (for the security-assertion monitor in
+// internal/assert, which keeps its own copy of the array from it), a
+// controlled mutation entry point (for the deterministic fault campaigns in
+// internal/faultinject), a per-design FaultHook intercepting the
 // microarchitectural events a hardware fault would perturb — fills, LRU
-// touches and Random Fill Engine draws.
+// touches and Random Fill Engine draws — and the design's policy as
+// Capabilities (capability.go).
 //
 // The hooks and the log are designed to be free when unused: a design pays
 // one nil pointer check per intercepted event or entry write, and nothing
@@ -30,9 +32,10 @@ type EntrySnapshot struct {
 }
 
 // Inspectable is implemented by designs whose array state can be observed
-// (runtime assertion checking) and perturbed (fault injection). The five
-// single-array designs — SetAssoc (and so FA), SP, RF, RandIdx and
-// FlushOnSwitch — implement it; compositions (TwoLevel, Coalesced) do not.
+// (runtime assertion checking) and perturbed (fault injection). The core
+// implements it once for the five single-array designs — SetAssoc (and so
+// FA), SP, RF, RandIdx and FlushOnSwitch; Coalesced, whose block entries
+// are not the core's, does not.
 type Inspectable interface {
 	// SnapshotAppend appends the current array contents to dst in set-major
 	// order (set 0 ways 0..W-1, then set 1, ...) and returns the extended
@@ -52,6 +55,9 @@ type Inspectable interface {
 	// current value, so applying l's writes in order to a zeroed copy of
 	// the array keeps that copy equal to SnapshotAppend's result.
 	AttachWriteLog(l *WriteLog)
+	// Capabilities returns the design's policy, as the assertion layer
+	// checks the array against it.
+	Capabilities() Capabilities
 }
 
 // WriteLog is the record of an array's entry writes, in the order they
@@ -197,91 +203,3 @@ func corruptEntry(sets [][]entry, set, way int, f func(*EntrySnapshot)) bool {
 	*e = entry{valid: s.Valid, asid: s.ASID, vpn: s.VPN, ppn: s.PPN, sec: s.Sec, stamp: s.Stamp}
 	return true
 }
-
-// SnapshotAppend implements Inspectable.
-func (t *SetAssoc) SnapshotAppend(dst []EntrySnapshot) []EntrySnapshot {
-	return snapshotAppend(dst, t.sets)
-}
-
-// CorruptEntry implements Inspectable.
-func (t *SetAssoc) CorruptEntry(set, way int, f func(*EntrySnapshot)) bool {
-	return t.corrupt(set, way, f)
-}
-
-// SetFaultHook implements Inspectable.
-func (t *SetAssoc) SetFaultHook(h *FaultHook) { t.setHook(h) }
-
-// AttachWriteLog implements Inspectable.
-func (t *SetAssoc) AttachWriteLog(l *WriteLog) { t.attachLog(l) }
-
-// SnapshotAppend implements Inspectable.
-func (t *SP) SnapshotAppend(dst []EntrySnapshot) []EntrySnapshot {
-	return snapshotAppend(dst, t.sets)
-}
-
-// CorruptEntry implements Inspectable.
-func (t *SP) CorruptEntry(set, way int, f func(*EntrySnapshot)) bool {
-	return t.corrupt(set, way, f)
-}
-
-// SetFaultHook implements Inspectable.
-func (t *SP) SetFaultHook(h *FaultHook) { t.setHook(h) }
-
-// AttachWriteLog implements Inspectable.
-func (t *SP) AttachWriteLog(l *WriteLog) { t.attachLog(l) }
-
-// SnapshotAppend implements Inspectable.
-func (t *RF) SnapshotAppend(dst []EntrySnapshot) []EntrySnapshot {
-	return snapshotAppend(dst, t.sets)
-}
-
-// CorruptEntry implements Inspectable.
-func (t *RF) CorruptEntry(set, way int, f func(*EntrySnapshot)) bool {
-	return t.corrupt(set, way, f)
-}
-
-// SetFaultHook implements Inspectable.
-func (t *RF) SetFaultHook(h *FaultHook) { t.setHook(h) }
-
-// AttachWriteLog implements Inspectable.
-func (t *RF) AttachWriteLog(l *WriteLog) { t.attachLog(l) }
-
-// SnapshotAppend implements Inspectable.
-func (t *RandIdx) SnapshotAppend(dst []EntrySnapshot) []EntrySnapshot {
-	return snapshotAppend(dst, t.sets)
-}
-
-// CorruptEntry implements Inspectable.
-func (t *RandIdx) CorruptEntry(set, way int, f func(*EntrySnapshot)) bool {
-	return t.corrupt(set, way, f)
-}
-
-// SetFaultHook implements Inspectable.
-func (t *RandIdx) SetFaultHook(h *FaultHook) { t.setHook(h) }
-
-// AttachWriteLog implements Inspectable.
-func (t *RandIdx) AttachWriteLog(l *WriteLog) { t.attachLog(l) }
-
-// SnapshotAppend implements Inspectable.
-func (t *FlushOnSwitch) SnapshotAppend(dst []EntrySnapshot) []EntrySnapshot {
-	return snapshotAppend(dst, t.sets)
-}
-
-// CorruptEntry implements Inspectable.
-func (t *FlushOnSwitch) CorruptEntry(set, way int, f func(*EntrySnapshot)) bool {
-	return t.corrupt(set, way, f)
-}
-
-// SetFaultHook implements Inspectable.
-func (t *FlushOnSwitch) SetFaultHook(h *FaultHook) { t.setHook(h) }
-
-// AttachWriteLog implements Inspectable.
-func (t *FlushOnSwitch) AttachWriteLog(l *WriteLog) { t.attachLog(l) }
-
-var (
-	_ Inspectable = (*SetAssoc)(nil)
-	_ Inspectable = (*SP)(nil)
-	_ Inspectable = (*RF)(nil)
-	_ Inspectable = (*RandIdx)(nil)
-	_ Inspectable = (*FlushOnSwitch)(nil)
-)

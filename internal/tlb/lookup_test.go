@@ -200,8 +200,8 @@ func (p *lookupPair) op(kind, a, b, c byte) {
 		}
 	case 14:
 		if _, ok := p.sub.(*RF); ok {
-			both(p, "PredictNextRandomFill", func(tl TLB) string {
-				v, ok, err := tl.(*RF).PredictNextRandomFill(asid, vpn)
+			both(p, "PredictRandomFill", func(tl TLB) string {
+				v, ok, err := tl.(*RF).Capabilities().PredictRandomFill(asid, vpn)
 				return fmt.Sprint(v, ok, err)
 			})
 		}
@@ -322,12 +322,12 @@ func TestLookupAfterReseed(t *testing.T) {
 		old := map[int]int{}
 		for v := 0; v < 8; v++ {
 			translate(v)
-			old[v] = ri.KeyedSetIndex(1, VPN(v))
+			old[v] = ri.setFor(1, VPN(v))
 		}
 		p.op(10, 1, 5, 0) // Reseed(5)
 		moved := -1
 		for v := 0; v < 8 && moved < 0; v++ {
-			if ri.KeyedSetIndex(1, VPN(v)) != old[v] {
+			if ri.setFor(1, VPN(v)) != old[v] {
 				moved = v
 			}
 		}
@@ -335,9 +335,9 @@ func TestLookupAfterReseed(t *testing.T) {
 			t.Fatalf("%d-%d: the re-seed moved none of 8 pages", geom.entries, geom.ways)
 		}
 		translate(moved)
-		set, filled := ri.KeyedSetIndex(1, VPN(moved)), 0
+		set, filled := ri.setFor(1, VPN(moved)), 0
 		for v := 8; v < 2*geom.entries && filled < geom.ways; v++ {
-			if ri.KeyedSetIndex(1, VPN(v)) == set {
+			if ri.setFor(1, VPN(v)) == set {
 				translate(v)
 				filled++
 			}

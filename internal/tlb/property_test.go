@@ -135,7 +135,7 @@ func TestQuickSPInvariants(t *testing.T) {
 				if !e.valid {
 					continue
 				}
-				inVictimWays := w < sp.victimWays
+				inVictimWays := w < sp.split
 				isVictim := e.asid == sp.victim
 				if inVictimWays != isVictim {
 					t.Logf("partition violation: asid %d in way %d", e.asid, w)
@@ -227,7 +227,7 @@ func TestQuickRandIdxInvariants(t *testing.T) {
 		}
 		s.apply(t, ri)
 		rekeyed = rekeyed || ri.epoch > 0
-		return checkInvariants(t, ri, ri.KeyedSetIndex)
+		return checkInvariants(t, ri, ri.setFor)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)

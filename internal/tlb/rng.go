@@ -1,6 +1,10 @@
 package tlb
 
-import "errors"
+import (
+	"errors"
+
+	"securetlb/internal/splitmix"
+)
 
 // ErrEmptyDraw is returned when the Random Fill Engine is asked to draw from
 // an empty range — a malformed secure-region configuration (e.g. a secure
@@ -31,10 +35,7 @@ func newRNG(seed uint64) *rng {
 // Seed re-seeds the generator.
 func (r *rng) Seed(seed uint64) {
 	// splitmix64 scramble so that close seeds produce unrelated streams.
-	z := seed + 0x9e3779b97f4a7c15
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	z ^= z >> 31
+	z := splitmix.Mix(seed + splitmix.Gamma)
 	if z == 0 {
 		z = 0x2545f4914f6cdd1d
 	}

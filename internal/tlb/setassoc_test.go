@@ -391,3 +391,16 @@ func TestFlushPageAllASIDsRF(t *testing.T) {
 		t.Error("secure entry should be removed by address-based flush")
 	}
 }
+
+// validCount returns the number of valid entries.
+func (t *SetAssoc) validCount() int {
+	n := 0
+	for s := range t.sets {
+		for w := range t.sets[s] {
+			if t.sets[s][w].valid {
+				n++
+			}
+		}
+	}
+	return n
+}

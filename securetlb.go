@@ -216,14 +216,6 @@ func NewCoalescedSPTLB(entries, ways, span, victimWays int, w Walker) (*tlb.Coal
 	return tlb.NewCoalescedSP(entries, ways, span, victimWays, w)
 }
 
-// NewTwoLevelTLB composes a TLB hierarchy: mkL1 builds the first level over
-// a walker that falls through to l2. The paper's designs apply per level
-// (§4: "it can be applied to instruction TLBs as well as other levels of
-// TLB"); securing only the L1 leaves the L2's timing observable.
-func NewTwoLevelTLB(mkL1 func(Walker) (TLB, error), l2 TLB) (*tlb.TwoLevel, error) {
-	return tlb.NewTwoLevel(mkL1, l2)
-}
-
 // NewL1DataCache builds the L1 data-cache model used by the cache-vs-TLB
 // comparison (§1's claim that cache defenses do not stop TLB attacks).
 // victimWays > 0 hardens the cache with SP-style way partitioning.
