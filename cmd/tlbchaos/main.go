@@ -64,6 +64,7 @@ import (
 	"securetlb/internal/job"
 	"securetlb/internal/pool"
 	"securetlb/internal/serve"
+	"securetlb/internal/splitmix"
 )
 
 func main() {
@@ -113,16 +114,6 @@ type chaosConfig struct {
 	data        string
 }
 
-// splitmix64 matches internal/faultinject's seed expansion, so schedules
-// here are reproducible from the same arithmetic.
-func splitmix64(state *uint64) uint64 {
-	*state += 0x9e3779b97f4a7c15
-	z := *state
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
 // pickSpecs derives the deterministic campaign mix: mostly secbench cells
 // across the three designs with varied trial counts (long enough for kills
 // to land mid-run), plus a perf sweep cell for every fourth spec.
@@ -136,14 +127,14 @@ func pickSpecs(seed uint64, n, baseTrials int) []job.Spec {
 				Kind:     job.KindPerf,
 				Design:   designs[i%len(designs)],
 				Decrypts: 2,
-				Seed:     1 + splitmix64(&state)%3,
+				Seed:     1 + splitmix.Next(&state)%3,
 			})
 			continue
 		}
 		specs = append(specs, job.Spec{
 			Kind:   job.KindSecbench,
-			Design: designs[splitmix64(&state)%uint64(len(designs))],
-			Trials: baseTrials + int(splitmix64(&state)%4)*500,
+			Design: designs[splitmix.Next(&state)%uint64(len(designs))],
+			Trials: baseTrials + int(splitmix.Next(&state)%4)*500,
 		})
 	}
 	return specs
@@ -155,7 +146,7 @@ func killDelays(seed uint64, kills int) []time.Duration {
 	state := seed ^ 0xdead
 	out := make([]time.Duration, kills)
 	for i := range out {
-		out[i] = time.Duration(300+splitmix64(&state)%700) * time.Millisecond
+		out[i] = time.Duration(300+splitmix.Next(&state)%700) * time.Millisecond
 	}
 	return out
 }
@@ -272,11 +263,11 @@ func run(cfg chaosConfig) error {
 			if len(candidates) == 0 {
 				candidates = ctls
 			}
-			victim = candidates[splitmix64(&killState)%uint64(len(candidates))]
+			victim = candidates[splitmix.Next(&killState)%uint64(len(candidates))]
 		}
 		victim.kill(k + 1)
 		if clustered {
-			down := cfg.leaseTTL + time.Duration(500+splitmix64(&killState)%1000)*time.Millisecond
+			down := cfg.leaseTTL + time.Duration(500+splitmix.Next(&killState)%1000)*time.Millisecond
 			fmt.Printf("tlbchaos: %s down for %s (lease TTL %s)\n", victim.name, down, cfg.leaseTTL)
 			select {
 			case <-time.After(down):

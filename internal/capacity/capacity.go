@@ -21,6 +21,7 @@ import (
 
 	"securetlb/internal/model"
 	"securetlb/internal/pool"
+	"securetlb/internal/splitmix"
 )
 
 // ErrUnmappedPattern is returned by RFTheory for a pattern shape outside the
@@ -412,10 +413,7 @@ func hitThreshold(p float64) threshold {
 // finaliser of (seed, i), so replicates are order-independent: the serial
 // and batched evaluations produce bit-identical intervals.
 func replicateState(seed uint64, i int) uint64 {
-	state := seed + (uint64(i)+1)*0x9e3779b97f4a7c15
-	state = (state ^ (state >> 30)) * 0xbf58476d1ce4e5b9
-	state = (state ^ (state >> 27)) * 0x94d049bb133111eb
-	state ^= state >> 31
+	state := splitmix.Mix(seed + (uint64(i)+1)*splitmix.Gamma)
 	if state == 0 {
 		state = 0x2545f4914f6cdd1d
 	}

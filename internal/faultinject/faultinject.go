@@ -27,6 +27,7 @@ import (
 
 	"securetlb/internal/mem"
 	"securetlb/internal/ptw"
+	"securetlb/internal/splitmix"
 	"securetlb/internal/tlb"
 )
 
@@ -117,16 +118,6 @@ func (s Site) RIOnly() bool { return s == SiteRandIdxKeyStuck }
 // FSOnly reports whether the site is meaningful only on the FS design.
 func (s Site) FSOnly() bool { return s == SiteFlushSwDropped }
 
-// splitmix64 is the seed-expansion step: successive calls on an evolving
-// state yield the independent decision streams an injector needs.
-func splitmix64(state *uint64) uint64 {
-	*state += 0x9e3779b97f4a7c15
-	z := *state
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
 // Injector injects one seeded fault at one site. Use New, Arm on a trial's
 // machine components, run the trial, then Disarm.
 type Injector struct {
@@ -167,9 +158,9 @@ func New(site Site, seed uint64) *Injector {
 	case SiteMemBitRot:
 		window = 64
 	}
-	in.trigger = 1 + splitmix64(&state)%window
-	in.r1 = splitmix64(&state)
-	in.r2 = splitmix64(&state)
+	in.trigger = 1 + splitmix.Next(&state)%window
+	in.r1 = splitmix.Next(&state)
+	in.r2 = splitmix.Next(&state)
 	return in
 }
 
@@ -399,14 +390,14 @@ func CorruptFile(site Site, path string, seed uint64) (string, error) {
 	state := seed
 	switch site {
 	case SiteCheckpointTruncate:
-		cut := int(splitmix64(&state) % uint64(len(raw)))
+		cut := int(splitmix.Next(&state) % uint64(len(raw)))
 		if err := os.WriteFile(path, raw[:cut], 0o644); err != nil {
 			return "", fmt.Errorf("faultinject: %w", err)
 		}
 		return fmt.Sprintf("truncated %s from %d to %d bytes", path, len(raw), cut), nil
 	case SiteCheckpointBitRot:
-		idx := int(splitmix64(&state) % uint64(len(raw)))
-		bit := splitmix64(&state) % 8
+		idx := int(splitmix.Next(&state) % uint64(len(raw)))
+		bit := splitmix.Next(&state) % 8
 		raw[idx] ^= 1 << bit
 		if err := os.WriteFile(path, raw, 0o644); err != nil {
 			return "", fmt.Errorf("faultinject: %w", err)

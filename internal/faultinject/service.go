@@ -2,6 +2,8 @@ package faultinject
 
 import (
 	"fmt"
+
+	"securetlb/internal/splitmix"
 )
 
 // The service-layer fault sites: failures of the job queue's durable
@@ -100,8 +102,8 @@ func NewService(site Site, seed uint64) (*ServiceInjector, error) {
 	// A job's lifecycle is a handful of persists (pending, running,
 	// terminal); a window of 6 lands the fault inside the first couple of
 	// jobs' records.
-	in.trigger = 1 + splitmix64(&state)%6
-	in.r1 = splitmix64(&state)
+	in.trigger = 1 + splitmix.Next(&state)%6
+	in.r1 = splitmix.Next(&state)
 	return in, nil
 }
 

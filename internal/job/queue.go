@@ -12,6 +12,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"securetlb/internal/splitmix"
 )
 
 // Runner executes one campaign. The queue guarantees at most one Run per
@@ -981,11 +983,7 @@ func (q *Queue) backoff(id string, attempt int) time.Duration {
 	for _, b := range []byte(id) {
 		state = state*0x100000001b3 + uint64(b)
 	}
-	state += 0x9e3779b97f4a7c15
-	z := state
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	z ^= z >> 31
+	z := splitmix.Next(&state)
 	if half := d / 2; half > 0 {
 		d = half + time.Duration(z%uint64(half))
 	}

@@ -13,6 +13,7 @@ import (
 	"securetlb/internal/mem"
 	"securetlb/internal/model"
 	"securetlb/internal/ptw"
+	"securetlb/internal/splitmix"
 	"securetlb/internal/tlb"
 	"securetlb/internal/trace"
 )
@@ -48,7 +49,7 @@ func (c Config) trialSeed(trial int, mapped bool) uint64 {
 // trialSeedFor is the seed derivation with only the base passed in, so hot
 // trial loops can call it without copying a Config receiver.
 func trialSeedFor(base uint64, trial int, mapped bool) uint64 {
-	seed := base ^ (uint64(trial)+1)*0x9e3779b97f4a7c15
+	seed := base ^ (uint64(trial)+1)*splitmix.Gamma
 	if mapped {
 		seed = ^seed
 	}

@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"math/big"
 
+	"securetlb/internal/splitmix"
 	"securetlb/internal/tlb"
 )
 
@@ -57,13 +58,7 @@ type RSA struct {
 // rng64 is a splitmix64 stream for deterministic key generation.
 type rng64 uint64
 
-func (r *rng64) next() uint64 {
-	*r += 0x9e3779b97f4a7c15
-	z := uint64(*r)
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
+func (r *rng64) next() uint64 { return splitmix.Next((*uint64)(r)) }
 
 // randPrime deterministically finds a prime of the given bit length.
 func randPrime(r *rng64, bits int) *big.Int {
