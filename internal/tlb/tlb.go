@@ -1,8 +1,6 @@
 // Package tlb implements the Translation Look-aside Buffer designs studied
-// in "Secure TLBs" (Deng, Xiong, Szefer — ISCA 2019): the standard
-// Set-Associative (SA) and Fully-Associative (FA) TLBs, and the two secure
-// designs proposed by the paper, the Static-Partition (SP) TLB and the
-// Random-Fill (RF) TLB.
+// in "Secure TLBs" (Deng, Xiong, Szefer — ISCA 2019) and the extension
+// designs of this reproduction.
 //
 // All designs sit behind the TLB interface. A TLB translates (ASID, virtual
 // page number) pairs to physical page numbers, consulting a Walker on a miss.
@@ -10,19 +8,30 @@
 // performance counters (in particular the TLB miss counter) that the paper's
 // micro security benchmarks and performance evaluation read.
 //
-// The designs model the L1 D-TLB of the paper's Rocket Core implementation:
+// The designs model the L1 D-TLB of the paper's Rocket Core implementation.
+// Five of them are one array core (core.go: a set-associative array with
+// true LRU per set, and its translate, probe, flush, clone and inspection
+// paths) plus a small policy on top:
 //
-//   - SetAssoc: plain SA TLB with true LRU per set. A fully-associative TLB
-//     is a SetAssoc with a single set; the paper's "1E" configuration is a
+//   - SetAssoc: no policy — the plain SA TLB. A fully-associative TLB is a
+//     SetAssoc with a single set; the paper's "1E" configuration is a
 //     SetAssoc with one entry.
-//   - SP: the Static-Partition TLB of paper §4.1 (Figures 1 and 2). Ways are
-//     statically split between a victim partition and an attacker partition;
-//     hits behave exactly like the SA TLB, fills are confined to the
-//     requesting process's partition, and each partition keeps its own LRU.
-//   - RF: the Random-Fill TLB of paper §4.2 (Figures 3 and 4). Entries carry
-//     a Sec bit; misses touching the secure region trigger a random fill of a
-//     different translation while the requested translation is returned
+//   - SP: a fill range — the Static-Partition TLB of paper §4.1 (Figures 1
+//     and 2). Hits behave exactly like the SA TLB; fills are confined to
+//     the requesting process's partition of the ways, and each partition
+//     keeps its own LRU.
+//   - RF: a miss policy — the Random-Fill TLB of paper §4.2 (Figures 3 and
+//     4). Entries carry a Sec bit; misses touching the secure region fill
+//     a random different translation while the requested one is returned
 //     through a side buffer without being installed.
+//   - RandIdx: an index function — the RI TLB, whose set mapping is keyed
+//     by a PRINCE-style cipher and re-keyed (with a flush) on a schedule.
+//   - FlushOnSwitch: a flush trigger — the FS TLB, which flushes on every
+//     context switch and secure-region exit.
+//
+// The core describes its policy to the assertion layer as one
+// Capabilities view. Coalesced (§6.4) keeps its own array: its entries
+// cover blocks of pages.
 package tlb
 
 import "fmt"
